@@ -342,7 +342,7 @@ def cli_main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"corcomp: configuration error: {exc}", file=sys.stderr)
         return 2
-    except (FormatError, ShapeError, ValueError, OSError) as exc:
+    except (FormatError, ShapeError, ValueError, OSError, RuntimeError) as exc:
         print(f"corcomp: error: {exc}", file=sys.stderr)
         return 1
 

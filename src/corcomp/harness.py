@@ -25,6 +25,7 @@ import numpy as np
 
 from .corcondia import CorcondiaReport, corcondia
 from .compress import (
+    CompressionOperator,
     RatioSpec,
     Scheme,
     compress,
@@ -33,7 +34,7 @@ from .compress import (
     ratio_to_dims,
     tucker_operator,
 )
-from .decomp import FitConfig, cp_als, max_feasible_cp_rank
+from .decomp import FitConfig, cp_als, cp_als_batch, max_feasible_cp_rank
 from .errors import ConfigError
 from .seeding import mix_seed
 from .tensor import DenseTensor3
@@ -79,11 +80,24 @@ class ExperimentConfig:
         schemes = tuple(Scheme(s) for s in self.schemes)
         if not schemes:
             raise ConfigError("schemes must be nonempty")
+        for scheme in schemes:
+            if schemes.count(scheme) > 1:
+                raise ConfigError(f"scheme {scheme.value} is listed twice")
         ratios = tuple(float(r) for r in self.ratios)
         if not ratios:
             raise ConfigError("ratios must be nonempty")
+        seen: dict[int, float] = {}
         for r in ratios:
             RatioSpec(r, self.compressed_modes)  # validates range and modes
+            bp = _basis_points(r)
+            if seen.get(bp) == r:
+                raise ConfigError(f"ratio {r} is listed twice")
+            if bp in seen:
+                raise ConfigError(
+                    f"ratios {seen[bp]} and {r} round to the same basis point, so "
+                    "their samples would draw identical operators"
+                )
+            seen[bp] = r
         samples = {Scheme(k): int(v) for k, v in self.samples_per_cell.items()}
         for s in schemes:
             if samples.get(s, 0) < 1:
@@ -172,28 +186,73 @@ def summarize(samples: Sequence[float]) -> SummaryStats:
     )
 
 
+def _basis_points(ratio: float) -> int:
+    return int(round(ratio * 10000))
+
+
 def sample_seed(master_seed: int, scheme: Scheme, ratio: float, index: int) -> int:
     """Operator seed for one Monte Carlo sample (ratio in basis points)."""
-    return mix_seed(master_seed, scheme.wire_id, int(round(ratio * 10000)), index)
+    return mix_seed(master_seed, scheme.wire_id, _basis_points(ratio), index)
 
 
-def _run_sample(
-    X: DenseTensor3,
-    scheme: Scheme,
-    target: tuple[int, int, int],
-    rank: int,
-    fit: FitConfig,
-    seed: int,
-) -> float:
+def _operator(
+    X: DenseTensor3, scheme: Scheme, target: tuple[int, int, int], fit: FitConfig, seed: int
+) -> CompressionOperator:
     if scheme is Scheme.GAUSSIAN:
-        op = gaussian_operator(X.dims, target, seed)
-    elif scheme is Scheme.ORTHONORMAL:
-        op = orthonormal_operator(X.dims, target, seed)
-    else:
-        op = tucker_operator(X, target, replace(fit, seed=seed))
-    compressed = compress(X, op)
-    model = cp_als(compressed, rank, replace(fit, seed=mix_seed(seed, FIT_TAG)))
-    return corcondia(compressed, model).value
+        return gaussian_operator(X.dims, target, seed)
+    if scheme is Scheme.ORTHONORMAL:
+        return orthonormal_operator(X.dims, target, seed)
+    return tucker_operator(X, target, replace(fit, seed=seed))
+
+
+def _run_cell(
+    X: DenseTensor3, scheme: Scheme, ratio: float, target: tuple[int, int, int],
+    cfg: ExperimentConfig,
+) -> list[float]:
+    """Raw diagnostic values of one (scheme, ratio) cell, in sample order.
+
+    Operators, compression and the diagnostic run per sample; the CP fits
+    of all samples run as one :func:`cp_als_batch` call.  ``tucker3``
+    ignores its seed, so a Tucker cell fits its operator once, with sample
+    0's seed, and every sample shares its compression.  A failing step is
+    re-raised with the coordinates that rerun it in isolation.
+    """
+    seeds = [
+        sample_seed(cfg.master_seed, scheme, ratio, s)
+        for s in range(cfg.samples_per_cell[scheme])
+    ]
+
+    def sample_failed(s: int, exc: Exception) -> RuntimeError:
+        return RuntimeError(
+            f"sample {s} of cell ({scheme.value}, {ratio}) failed "
+            f"(operator seed {seeds[s]}): {exc}"
+        )
+
+    distinct = 1 if scheme is Scheme.TUCKER else len(seeds)
+    compressed: list[DenseTensor3] = []
+    for s in range(distinct):
+        try:
+            compressed.append(compress(X, _operator(X, scheme, target, cfg.fit, seeds[s])))
+        except Exception as exc:
+            raise sample_failed(s, exc) from exc
+    compressed += compressed[-1:] * (len(seeds) - distinct)
+
+    try:
+        models = cp_als_batch(
+            compressed, cfg.rank, cfg.fit, [mix_seed(seed, FIT_TAG) for seed in seeds]
+        )
+    except Exception as exc:
+        raise RuntimeError(
+            f"CP fit of cell ({scheme.value}, {ratio}) failed (sample seeds {seeds}): {exc}"
+        ) from exc
+
+    values = []
+    for s, (Xc, model) in enumerate(zip(compressed, models)):
+        try:
+            values.append(corcondia(Xc, model).value)
+        except Exception as exc:
+            raise sample_failed(s, exc) from exc
+    return values
 
 
 def run_experiment(
@@ -202,9 +261,10 @@ def run_experiment(
     """Run the full (scheme, ratio) grid and summarize each cell.
 
     The grid is validated before any computation: every compressed shape
-    in it must support ``cfg.rank`` CP components.  With ``workers > 1``
-    samples run on a thread pool; per-sample derived seeds make the
-    result identical to the sequential run.
+    in it must support ``cfg.rank`` CP components.  The unit of work is
+    the cell.  With ``workers > 1`` cells run in parallel on a thread
+    pool, so more workers than cells gains nothing; per-sample derived
+    seeds make the result identical to the sequential run.
     """
     targets: dict[float, tuple[int, int, int]] = {}
     for ratio in cfg.ratios:
@@ -226,43 +286,26 @@ def run_experiment(
     )
     baseline = corcondia(X, baseline_model)
 
-    tasks = [
-        (scheme, ratio, s)
-        for scheme in cfg.schemes
-        for ratio in cfg.ratios
-        for s in range(cfg.samples_per_cell[scheme])
-    ]
+    grid = [(scheme, ratio) for scheme in cfg.schemes for ratio in cfg.ratios]
 
-    def run(task: tuple[Scheme, float, int]) -> float:
-        scheme, ratio, s = task
-        return _run_sample(
-            X,
-            scheme,
-            targets[ratio],
-            cfg.rank,
-            cfg.fit,
-            sample_seed(cfg.master_seed, scheme, ratio, s),
-        )
+    def run(cell: tuple[Scheme, float]) -> list[float]:
+        scheme, ratio = cell
+        return _run_cell(X, scheme, ratio, targets[ratio], cfg)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            values = list(pool.map(run, tasks))
+            values = list(pool.map(run, grid))
     else:
-        values = [run(t) for t in tasks]
+        values = [run(cell) for cell in grid]
 
     cells: dict[tuple[Scheme, float], CellResult] = {}
-    pos = 0
-    for scheme in cfg.schemes:
-        for ratio in cfg.ratios:
-            n = cfg.samples_per_cell[scheme]
-            raw = values[pos : pos + n]
-            pos += n
-            clamped = clamp_negatives(raw)
-            cells[(scheme, ratio)] = CellResult(
-                scheme=scheme,
-                ratio=ratio,
-                raw_samples=tuple(raw),
-                clamped_samples=tuple(clamped),
-                stats=summarize(clamped),
-            )
+    for (scheme, ratio), raw in zip(grid, values):
+        clamped = clamp_negatives(raw)
+        cells[(scheme, ratio)] = CellResult(
+            scheme=scheme,
+            ratio=ratio,
+            raw_samples=tuple(raw),
+            clamped_samples=tuple(clamped),
+            stats=summarize(clamped),
+        )
     return ExperimentResult(config=cfg, cells=cells, baseline=baseline)

@@ -71,3 +71,54 @@ def core_lstsq_oracle(data: np.ndarray, A: np.ndarray, B: np.ndarray, C: np.ndar
     design = np.stack(cols, axis=1)
     g, *_ = np.linalg.lstsq(design, data.ravel(order="F"), rcond=None)
     return g.reshape((P, Q, R), order="F")
+
+
+def cp_als_loop_oracle(X, R: int, cfg):
+    """CP-ALS one restart at a time with 2-D numpy calls: the sequential
+    loop that ``cp_als_batch`` stacks.  The arithmetic is the same, so the
+    batched engine must reproduce its models bit for bit."""
+    from corcomp import CpModel, frobenius_norm, unfold
+
+    def khatri_rao(P, Q):
+        return (P[:, None, :] * Q[None, :, :]).reshape(-1, P.shape[1])
+
+    def solve(unf, kr, gram):
+        rhs = unf @ kr
+        try:
+            return np.linalg.solve(gram, rhs.T).T
+        except np.linalg.LinAlgError:
+            return (np.linalg.pinv(gram) @ rhs.T).T
+
+    def absorb_norms(F, C):
+        norms = np.linalg.norm(F, axis=0)
+        ok = norms > np.finfo(np.float64).tiny
+        F[:, ok] /= norms[ok]
+        C[:, ok] *= norms[ok]
+
+    norm_x = frobenius_norm(X)
+    unfs = [unfold(X, m) for m in (1, 2, 3)]
+    best = None
+    for restart in range(cfg.restarts):
+        rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, restart)))
+        A, B, C = (rng.uniform(-1.0, 1.0, (d, R)) for d in X.dims)
+        history = []
+        converged = False
+        prev_err = np.inf
+        for _ in range(cfg.max_iterations):
+            A = solve(unfs[0], khatri_rao(C, B), (C.T @ C) * (B.T @ B))
+            absorb_norms(A, C)
+            B = solve(unfs[1], khatri_rao(C, A), (C.T @ C) * (A.T @ A))
+            absorb_norms(B, C)
+            kr3 = khatri_rao(B, A)
+            C = solve(unfs[2], kr3, (B.T @ B) * (A.T @ A))
+            err = float(np.linalg.norm(unfs[2] - C @ kr3.T)) / norm_x
+            history.append(err)
+            if abs(prev_err - err) <= cfg.rel_tolerance:
+                converged = True
+                break
+            prev_err = err
+        model = CpModel(A=A, B=B, C=C, fit=1.0 - history[-1], iterations=len(history),
+                        converged=converged, error_history=tuple(history))
+        if best is None or model.fit > best.fit:
+            best = model
+    return best

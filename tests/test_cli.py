@@ -203,6 +203,34 @@ class TestExperimentCommand:
         assert code == 2
         assert "configuration error" in err
 
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            ["--ratios", "0.5", "0.5"],
+            ["--schemes", "gaussian", "gaussian"],
+            ["--ratios", "0.12341", "0.12344"],
+        ],
+    )
+    def test_duplicate_grid_entries_exit_2(self, noisy_file, grid, capsys):
+        code, _, err = run(self.BASE + ["--input", str(noisy_file)] + grid, capsys)
+        assert code == 2
+        assert "configuration error" in err
+
+    def test_failing_sample_exits_1_with_its_coordinates(self, noisy_file, monkeypatch, capsys):
+        import corcomp.harness as harness
+
+        real_corcondia = harness.corcondia
+
+        def failing_on_compressed(X, model):
+            if X.dims != (24, 18, 7):
+                raise ValueError("diagnostic exploded")
+            return real_corcondia(X, model)
+
+        monkeypatch.setattr(harness, "corcondia", failing_on_compressed)
+        code, _, err = run(self.BASE + ["--input", str(noisy_file)], capsys)
+        assert code == 1
+        assert "sample 0 of cell (gaussian, 0.5)" in err
+
     def test_missing_input_exits_2(self, capsys):
         code, _, err = run(["experiment", "--rank", "3"], capsys)
         assert code == 2

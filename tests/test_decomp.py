@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,10 @@ from corcomp import (
     DenseTensor3,
     FitConfig,
     ShapeError,
+    compress,
     cp_als,
     frobenius_norm,
+    orthonormal_operator,
     orthonormalize_tucker,
     pseudoinverse,
     reconstruct_cp,
@@ -14,7 +18,8 @@ from corcomp import (
     superdiagonal_identity,
     tucker3,
 )
-from corcomp.decomp import cp_fit_of
+from corcomp.decomp import cp_als_batch, cp_fit_of
+from oracles import cp_als_loop_oracle
 
 TIGHT = FitConfig(max_iterations=2000, rel_tolerance=1e-12, restarts=3, seed=0)
 
@@ -82,6 +87,97 @@ class TestCpAls:
         model = cp_als(X, 3, FitConfig(max_iterations=2, rel_tolerance=1e-15, restarts=1))
         assert not model.converged
         assert model.iterations == 2
+
+
+def assert_same_model(got, want):
+    assert np.array_equal(got.A, want.A)
+    assert np.array_equal(got.B, want.B)
+    assert np.array_equal(got.C, want.C)
+    assert got.fit == want.fit
+    assert got.iterations == want.iterations
+    assert got.converged == want.converged
+    assert got.error_history == want.error_history
+
+
+class TestCpAlsBatch:
+    CFG = FitConfig(max_iterations=40, rel_tolerance=1e-10, restarts=2)
+
+    def test_members_match_one_tensor_fits(self):
+        rng = np.random.default_rng(41)
+        exact, _ = random_cp_tensor((6, 5, 4), 2, seed=40)
+        tensors = [
+            exact,
+            DenseTensor3(exact.data + 0.05 * rng.standard_normal((6, 5, 4))),
+            DenseTensor3(rng.standard_normal((6, 5, 4))),
+        ]
+        seeds = [3, 4, 5]
+        batch = cp_als_batch(tensors, 2, self.CFG, seeds)
+        for got, X, seed in zip(batch, tensors, seeds):
+            assert_same_model(got, cp_als(X, 2, replace(self.CFG, seed=seed)))
+        assert len({m.iterations for m in batch}) == 3
+        capped = [m for m in batch if m.iterations == self.CFG.max_iterations]
+        assert len(capped) == 1 and not capped[0].converged
+
+    def test_matches_sequential_loop(self):
+        # Bits depend on memory layouts, so cover each way a tensor is made:
+        # compressed (n-mode products), C-ordered and F-ordered (file) data.
+        X, _ = random_cp_tensor((12, 9, 5), 3, seed=45)
+        rng = np.random.default_rng(46)
+        noisy = X.data + 0.1 * rng.standard_normal(X.dims)
+        op = orthonormal_operator(X.dims, (6, 4, 5), seed=47)
+        tensors = [
+            compress(DenseTensor3(noisy), op),
+            DenseTensor3(noisy),
+            DenseTensor3.from_flat(noisy.ravel(order="F"), X.dims),
+        ]
+        for R in (1, 3):
+            for Xt in tensors:
+                cfg = replace(self.CFG, seed=R)
+                assert_same_model(cp_als(Xt, R, cfg), cp_als_loop_oracle(Xt, R, cfg))
+
+    def test_pinv_fallback_stays_with_its_member(self, monkeypatch):
+        # One nonzero entry makes every factor a signed unit vector, so the
+        # third Gram matrix of the first sweep is exactly singular.
+        spike = np.zeros((4, 3, 3))
+        spike[0, 0, 0] = 2.5
+        rng = np.random.default_rng(42)
+        tensors = [
+            DenseTensor3(rng.standard_normal((4, 3, 3))),
+            DenseTensor3(spike),
+            DenseTensor3(rng.standard_normal((4, 3, 3))),
+        ]
+        seeds = [6, 7, 8]
+        pinv_calls = []
+        real_pinv = np.linalg.pinv
+
+        def counting_pinv(M, *args, **kwargs):
+            pinv_calls.append(M)
+            return real_pinv(M, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "pinv", counting_pinv)
+        batch = cp_als_batch(tensors, 2, self.CFG, seeds)
+        in_batch = len(pinv_calls)
+        alone = [cp_als(X, 2, replace(self.CFG, seed=s)) for X, s in zip(tensors, seeds)]
+        assert in_batch > 0
+        assert len(pinv_calls) == 2 * in_batch  # every call came from the spike
+        for got, want in zip(batch, alone):
+            assert_same_model(got, want)
+        assert_same_model(batch[1], cp_als_loop_oracle(tensors[1], 2, replace(self.CFG, seed=7)))
+
+    def test_mixed_dims_rejected(self):
+        rng = np.random.default_rng(43)
+        tensors = [DenseTensor3(rng.standard_normal(d)) for d in ((4, 3, 3), (4, 3, 2))]
+        with pytest.raises(ShapeError):
+            cp_als_batch(tensors, 1, self.CFG, [0, 1])
+
+    def test_zero_tensor_named_by_index(self):
+        rng = np.random.default_rng(44)
+        tensors = [
+            DenseTensor3(rng.standard_normal((3, 3, 3))),
+            DenseTensor3(np.zeros((3, 3, 3))),
+        ]
+        with pytest.raises(ValueError, match=r"zero tensor \(tensor 1\)"):
+            cp_als_batch(tensors, 1, self.CFG, [0, 1])
 
 
 class TestTucker3:

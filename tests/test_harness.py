@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,9 @@ from corcomp import (
     run_experiment,
     summarize,
     synth_tensor,
+    tucker_operator,
 )
+import corcomp.harness as harness
 from corcomp.harness import FIT_TAG, sample_seed
 from corcomp.seeding import mix_seed
 
@@ -139,6 +143,14 @@ class TestRunExperiment:
         model = cp_als(compressed, 3, replace(cfg.fit, seed=mix_seed(seed, FIT_TAG)))
         assert corcondia(compressed, model).value == cell.raw_samples[s]
 
+        tucker_cell = result.cells[(Scheme.TUCKER, 0.5)]
+        s = 1
+        seed = sample_seed(cfg.master_seed, Scheme.TUCKER, 0.5, s)
+        op = tucker_operator(small_noisy_tensor, (15, 10, 8), replace(cfg.fit, seed=seed))
+        compressed = compress(small_noisy_tensor, op)
+        model = cp_als(compressed, 3, replace(cfg.fit, seed=mix_seed(seed, FIT_TAG)))
+        assert corcondia(compressed, model).value == tucker_cell.raw_samples[s]
+
     def test_clamping_invariant(self, small_noisy_tensor):
         result = run_experiment(small_noisy_tensor, small_config())
         for cell in result.cells.values():
@@ -177,6 +189,56 @@ class TestRunExperiment:
             for v in cell.raw_samples:
                 assert v == pytest.approx(100.0, abs=1e-6)
 
+    def test_tucker_cell_fits_its_operator_once(self, small_noisy_tensor, monkeypatch):
+        compress_module = sys.modules["corcomp.compress"]  # corcomp.compress is the function
+        real_tucker3 = compress_module.tucker3
+        calls = []
+
+        def counting_tucker3(*args, **kwargs):
+            calls.append(args[1])
+            return real_tucker3(*args, **kwargs)
+
+        monkeypatch.setattr(compress_module, "tucker3", counting_tucker3)
+        cfg = small_config(
+            schemes=(Scheme.TUCKER,), ratios=(0.5, 0.2), samples_per_cell={Scheme.TUCKER: 3}
+        )
+        result = run_experiment(small_noisy_tensor, cfg)
+        assert calls == [(15, 10, 8), (6, 4, 8)]
+        assert all(cell.stats.n == 3 for cell in result.cells.values())
+
+    def test_failing_sample_names_its_coordinates(self, small_noisy_tensor, monkeypatch):
+        cfg = small_config()
+        seed = sample_seed(cfg.master_seed, Scheme.ORTHONORMAL, 0.5, 2)
+        poisoned = compress(
+            small_noisy_tensor, orthonormal_operator(small_noisy_tensor.dims, (15, 10, 8), seed)
+        )
+        real_corcondia = harness.corcondia
+
+        def failing_corcondia(X, model):
+            if np.array_equal(X.data, poisoned.data):
+                raise ValueError("diagnostic exploded")
+            return real_corcondia(X, model)
+
+        monkeypatch.setattr(harness, "corcondia", failing_corcondia)
+        with pytest.raises(RuntimeError) as info:
+            run_experiment(small_noisy_tensor, cfg)
+        message = str(info.value)
+        for part in ("sample 2", "orthonormal", "0.5", f"operator seed {seed}", "exploded"):
+            assert part in message
+        assert isinstance(info.value.__cause__, ValueError)
+
+    def test_failing_batch_fit_names_the_cell_seeds(self, small_noisy_tensor, monkeypatch):
+        def failing_batch(*args, **kwargs):
+            raise ValueError("fit exploded")
+
+        monkeypatch.setattr(harness, "cp_als_batch", failing_batch)
+        cfg = small_config(schemes=(Scheme.GAUSSIAN,))
+        seeds = [sample_seed(cfg.master_seed, Scheme.GAUSSIAN, 0.5, s) for s in range(4)]
+        with pytest.raises(RuntimeError, match="gaussian") as info:
+            run_experiment(small_noisy_tensor, cfg)
+        assert str(seeds) in str(info.value)
+        assert isinstance(info.value.__cause__, ValueError)
+
     def test_infeasible_cell_rejected_before_compute(self, small_noisy_tensor):
         # at ratio 0.04 modes 1 and 2 collapse to (1, 1, 8): max rank 1
         with pytest.raises(ConfigError, match="0.04"):
@@ -191,3 +253,18 @@ class TestRunExperiment:
             ExperimentConfig(ratios=())
         with pytest.raises(ConfigError):
             ExperimentConfig(samples_per_cell={Scheme.GAUSSIAN: 0})
+
+    def test_duplicate_ratio_rejected(self):
+        with pytest.raises(ConfigError, match="0.5"):
+            small_config(ratios=(0.5, 0.2, 0.5))
+
+    def test_duplicate_scheme_rejected(self):
+        with pytest.raises(ConfigError, match="gaussian"):
+            small_config(schemes=(Scheme.GAUSSIAN, Scheme.TUCKER, Scheme.GAUSSIAN))
+
+    def test_ratios_sharing_a_basis_point_rejected(self):
+        # sample_seed rounds ratios to basis points: both would draw the
+        # same operators.
+        with pytest.raises(ConfigError, match="0.12341 and 0.12344"):
+            small_config(ratios=(0.12341, 0.12344))
+        assert small_config(ratios=(0.1234, 0.1235)).ratios == (0.1234, 0.1235)
