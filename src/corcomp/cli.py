@@ -13,7 +13,6 @@ usage or infeasible-configuration errors, 1 for any other failure.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -32,7 +31,7 @@ from .compress import (
 )
 from .corcondia import corcondia_sweep
 from .decomp import FitConfig, cp_als, tucker3
-from .errors import ConfigError, FormatError, ShapeError
+from .errors import ConfigError, FormatError, ShapeError, StepError
 from .harness import ExperimentConfig, run_experiment
 from .io import (
     SynthSpec,
@@ -43,7 +42,6 @@ from .io import (
     write_tensor,
 )
 
-WORKERS_ENV = "CORCOMP_WORKERS"
 
 _EXPERIMENT_DEFAULTS = {
     "rank": 3,
@@ -146,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
     _add_fit_flags(p, for_experiment=True)
     p.add_argument("--workers", type=int, default=None,
-                   help=f"parallel workers (default ${WORKERS_ENV} or 1)")
+                   help="accepted for compatibility; has no effect")
     p.add_argument("--out-json", dest="out_json", default=None)
     p.add_argument("--out-csv", dest="out_csv", default=None)
     p.set_defaults(func=_cmd_experiment)
@@ -315,10 +313,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             max_iterations=s["max_iter"], rel_tolerance=s["tol"], restarts=s["restarts"]
         ),
     )
-    workers = s["workers"]
-    if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV, "1"))
-    result = run_experiment(X, cfg, workers=max(1, workers))
+    result = run_experiment(X, cfg)
     csv_lines = stats_csv_lines(result)
     if s["out_json"]:
         Path(s["out_json"]).write_text(experiment_to_json(result))
@@ -342,7 +337,7 @@ def cli_main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"corcomp: configuration error: {exc}", file=sys.stderr)
         return 2
-    except (FormatError, ShapeError, ValueError, OSError, RuntimeError) as exc:
+    except (FormatError, ShapeError, ValueError, OSError, StepError) as exc:
         print(f"corcomp: error: {exc}", file=sys.stderr)
         return 1
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .decomp import CpModel, FitConfig, cp_als, numerical_rank, pseudoinverse
-from .errors import ShapeError
+from .errors import ShapeError, StepError
 from .seeding import mix_seed
 from .tensor import DenseTensor3, as_matrix, n_mode_product, superdiagonal_identity
 
@@ -102,5 +102,5 @@ def corcondia_sweep(
             model = cp_als(X, rank, replace(cfg, seed=mix_seed(cfg.seed, rank)))
             reports.append(corcondia(X, model))
         except Exception as exc:
-            raise RuntimeError(f"core consistency sweep failed at rank {rank}: {exc}") from exc
+            raise StepError(f"core consistency sweep failed at rank {rank}: {exc}") from exc
     return reports

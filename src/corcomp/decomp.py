@@ -184,17 +184,20 @@ def _als_sweep(unfs, spans, A, B, C):
 def _residual_norms(unfs3, spans, C, kr3, work) -> np.ndarray:
     """Explicit residual norm ``||X_(3) - C kr3^T||`` of every member.
 
-    The residuals of one tensor's members are written into ``work``.  The
-    stacked ``(1, n) @ (n, 1)`` product runs the BLAS dot that
-    ``np.linalg.norm`` runs, over the same element order.
+    The residuals are written into ``work``, as many members of one
+    tensor at a time as it has rows.  The stacked ``(1, n) @ (n, 1)``
+    product runs the BLAS dot that ``np.linalg.norm`` runs, over the same
+    element order.
     """
     sq = np.empty(len(C))
     for unf, span in zip(unfs3, spans):
-        res = work[: span.stop - span.start]
-        np.matmul(C[span], kr3[span].swapaxes(-1, -2), out=res)
-        np.subtract(unf, res, out=res)
-        flat = res.reshape(len(res), 1, -1)
-        sq[span] = np.matmul(flat, flat.swapaxes(-1, -2))[:, 0, 0]
+        for lo in range(span.start, span.stop, len(work)):
+            part = slice(lo, min(lo + len(work), span.stop))
+            res = work[: part.stop - part.start]
+            np.matmul(C[part], kr3[part].swapaxes(-1, -2), out=res)
+            np.subtract(unf, res, out=res)
+            flat = res.reshape(len(res), 1, -1)
+            sq[part] = np.matmul(flat, flat.swapaxes(-1, -2))[:, 0, 0]
     return np.sqrt(sq)
 
 
@@ -207,6 +210,11 @@ def _live_tensors(unfs, live: np.ndarray, restarts: int):
     tensor_ids = owners[starts].tolist()
     spans = [slice(a, b) for a, b in zip(starts.tolist(), ends.tolist())]
     return [[u[t] for t in tensor_ids] for u in unfs], spans
+
+
+# Bytes of residual workspace a fit keeps: the members of a tensor larger
+# than this take their residuals one at a time, as a single fit would.
+_RESIDUAL_WORK_BYTES = 1 << 20
 
 
 def max_feasible_cp_rank(dims: tuple[int, int, int]) -> int:
@@ -237,7 +245,8 @@ def cp_als_batch(
 ) -> list[CpModel]:
     """Fit an R-component CP model to each of several same-shaped tensors.
 
-    Tensor ``t`` gets exactly the model ``cp_als(tensors[t], R,
+    ``cfg.seed`` is not used: tensor ``t``'s restarts are seeded from
+    ``seeds[t]``, so it gets exactly the model ``cp_als(tensors[t], R,
     replace(cfg, seed=seeds[t]))`` would give, bit for bit: restart ``r``
     draws from a stream seeded by ``(seeds[t], r)``, stops at the sweep
     where its own error change drops below ``cfg.rel_tolerance``, and the
@@ -285,7 +294,8 @@ def cp_als_batch(
     # A tensor listed more than once (a Tucker cell's samples) is unfolded once.
     unfolded = {id(X): [unfold(X, mode) for mode in (1, 2, 3)] for X in tensors}
     unfs = [[unfolded[id(X)][m] for X in tensors] for m in range(3)]
-    work = np.empty((restarts,) + unfs[2][0].shape)
+    rows = min(restarts, max(1, _RESIDUAL_WORK_BYTES // unfs[2][0].nbytes))
+    work = np.empty((rows,) + unfs[2][0].shape)
     history = np.empty((cfg.max_iterations, members))
     live = np.arange(members)
     live_unfs, spans = _live_tensors(unfs, live, restarts)

@@ -15,3 +15,11 @@ class FormatError(ValueError):
 
 class ConfigError(ValueError):
     """An experiment or CLI configuration is invalid or infeasible."""
+
+
+class StepError(RuntimeError):
+    """A step of an experiment grid or a rank sweep failed.
+
+    The message names the coordinates that rerun the step in isolation;
+    the original exception is chained as ``__cause__``.
+    """

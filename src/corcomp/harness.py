@@ -11,14 +11,12 @@ Reproducibility: the operator for sample ``s`` of cell ``(scheme,
 ratio)`` is seeded by ``mix_seed(master_seed, scheme.wire_id,
 round(ratio * 10000), s)`` and the CP fit of that sample by
 ``mix_seed(sample_seed, FIT_TAG)``, so any cell or sample can be
-recomputed in isolation and results do not depend on how many workers
-executed the grid.
+recomputed in isolation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from concurrent.futures import ThreadPoolExecutor
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -35,7 +33,7 @@ from .compress import (
     tucker_operator,
 )
 from .decomp import FitConfig, cp_als, cp_als_batch, max_feasible_cp_rank
-from .errors import ConfigError
+from .errors import ConfigError, StepError
 from .seeding import mix_seed
 from .tensor import DenseTensor3
 
@@ -52,6 +50,11 @@ __all__ = [
 # Tags mixed with the master seed for work items that are not cell samples.
 BASELINE_TAG = 3
 FIT_TAG = 4
+
+# Bytes of compressed samples fitted per cp_als_batch call (at least one
+# sample).  Batch members never interact, so this changes no result; it
+# keeps a cell's memory from growing with its sample count.
+BATCH_BYTES = 1 << 20
 
 DEFAULT_RATIOS = (0.5, 0.4, 0.3, 0.2, 0.1, 0.08, 0.04)
 DEFAULT_SAMPLES = {Scheme.GAUSSIAN: 1000, Scheme.ORTHONORMAL: 1000, Scheme.TUCKER: 10}
@@ -211,47 +214,51 @@ def _run_cell(
 ) -> list[float]:
     """Raw diagnostic values of one (scheme, ratio) cell, in sample order.
 
-    Operators, compression and the diagnostic run per sample; the CP fits
-    of all samples run as one :func:`cp_als_batch` call.  ``tucker3``
-    ignores its seed, so a Tucker cell fits its operator once, with sample
-    0's seed, and every sample shares its compression.  A failing step is
-    re-raised with the coordinates that rerun it in isolation.
+    Samples run in chunks of about ``BATCH_BYTES`` of compressed data:
+    operators and compression per sample, one :func:`cp_als_batch` call
+    for the chunk's CP fits, then the diagnostic per sample.  ``tucker3`` ignores its
+    seed, so a Tucker cell fits its operator once, with sample 0's seed,
+    and every sample shares its compression.  A failing step is re-raised
+    as :class:`StepError` with the coordinates that rerun it in isolation.
     """
     seeds = [
         sample_seed(cfg.master_seed, scheme, ratio, s)
         for s in range(cfg.samples_per_cell[scheme])
     ]
 
-    def sample_failed(s: int, exc: Exception) -> RuntimeError:
-        return RuntimeError(
+    def sample_failed(s: int, exc: Exception) -> StepError:
+        return StepError(
             f"sample {s} of cell ({scheme.value}, {ratio}) failed "
             f"(operator seed {seeds[s]}): {exc}"
         )
 
-    distinct = 1 if scheme is Scheme.TUCKER else len(seeds)
-    compressed: list[DenseTensor3] = []
-    for s in range(distinct):
+    def compressed_sample(s: int) -> DenseTensor3:
         try:
-            compressed.append(compress(X, _operator(X, scheme, target, cfg.fit, seeds[s])))
+            return compress(X, _operator(X, scheme, target, cfg.fit, seeds[s]))
         except Exception as exc:
             raise sample_failed(s, exc) from exc
-    compressed += compressed[-1:] * (len(seeds) - distinct)
 
-    try:
-        models = cp_als_batch(
-            compressed, cfg.rank, cfg.fit, [mix_seed(seed, FIT_TAG) for seed in seeds]
-        )
-    except Exception as exc:
-        raise RuntimeError(
-            f"CP fit of cell ({scheme.value}, {ratio}) failed (sample seeds {seeds}): {exc}"
-        ) from exc
-
-    values = []
-    for s, (Xc, model) in enumerate(zip(compressed, models)):
+    shared = compressed_sample(0) if scheme is Scheme.TUCKER else None
+    values: list[float] = []
+    per_batch = max(1, BATCH_BYTES // (8 * int(np.prod(target))))
+    for start in range(0, len(seeds), per_batch):
+        chunk = range(start, min(start + per_batch, len(seeds)))
+        compressed = [compressed_sample(s) if shared is None else shared for s in chunk]
+        chunk_seeds = seeds[chunk.start : chunk.stop]
         try:
-            values.append(corcondia(Xc, model).value)
+            models = cp_als_batch(
+                compressed, cfg.rank, cfg.fit, [mix_seed(seed, FIT_TAG) for seed in chunk_seeds]
+            )
         except Exception as exc:
-            raise sample_failed(s, exc) from exc
+            raise StepError(
+                f"CP fit of samples {chunk.start}-{chunk.stop - 1} of cell "
+                f"({scheme.value}, {ratio}) failed (sample seeds {chunk_seeds}): {exc}"
+            ) from exc
+        for s, Xc, model in zip(chunk, compressed, models):
+            try:
+                values.append(corcondia(Xc, model).value)
+            except Exception as exc:
+                raise sample_failed(s, exc) from exc
     return values
 
 
@@ -261,10 +268,10 @@ def run_experiment(
     """Run the full (scheme, ratio) grid and summarize each cell.
 
     The grid is validated before any computation: every compressed shape
-    in it must support ``cfg.rank`` CP components.  The unit of work is
-    the cell.  With ``workers > 1`` cells run in parallel on a thread
-    pool, so more workers than cells gains nothing; per-sample derived
-    seeds make the result identical to the sequential run.
+    in it must support ``cfg.rank`` CP components.  Cells run one after
+    another.  ``workers`` is accepted for compatibility and has no
+    effect: once a cell's fits were batched, a thread pool over cells no
+    longer ran the grid faster.
     """
     targets: dict[float, tuple[int, int, int]] = {}
     for ratio in cfg.ratios:
@@ -286,26 +293,16 @@ def run_experiment(
     )
     baseline = corcondia(X, baseline_model)
 
-    grid = [(scheme, ratio) for scheme in cfg.schemes for ratio in cfg.ratios]
-
-    def run(cell: tuple[Scheme, float]) -> list[float]:
-        scheme, ratio = cell
-        return _run_cell(X, scheme, ratio, targets[ratio], cfg)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            values = list(pool.map(run, grid))
-    else:
-        values = [run(cell) for cell in grid]
-
     cells: dict[tuple[Scheme, float], CellResult] = {}
-    for (scheme, ratio), raw in zip(grid, values):
-        clamped = clamp_negatives(raw)
-        cells[(scheme, ratio)] = CellResult(
-            scheme=scheme,
-            ratio=ratio,
-            raw_samples=tuple(raw),
-            clamped_samples=tuple(clamped),
-            stats=summarize(clamped),
-        )
+    for scheme in cfg.schemes:
+        for ratio in cfg.ratios:
+            raw = _run_cell(X, scheme, ratio, targets[ratio], cfg)
+            clamped = clamp_negatives(raw)
+            cells[(scheme, ratio)] = CellResult(
+                scheme=scheme,
+                ratio=ratio,
+                raw_samples=tuple(raw),
+                clamped_samples=tuple(clamped),
+                stats=summarize(clamped),
+            )
     return ExperimentResult(config=cfg, cells=cells, baseline=baseline)

@@ -231,6 +231,16 @@ class TestExperimentCommand:
         assert code == 1
         assert "sample 0 of cell (gaussian, 0.5)" in err
 
+    def test_internal_error_is_not_mapped_to_an_exit_code(self, noisy_file, monkeypatch, capsys):
+        import corcomp.cli as cli
+
+        def broken(*args, **kwargs):
+            raise NotImplementedError("internal bug")
+
+        monkeypatch.setattr(cli, "run_experiment", broken)
+        with pytest.raises(NotImplementedError):
+            cli.cli_main(self.BASE + ["--input", str(noisy_file)])
+
     def test_missing_input_exits_2(self, capsys):
         code, _, err = run(["experiment", "--rank", "3"], capsys)
         assert code == 2

@@ -18,6 +18,7 @@ from corcomp import (
     superdiagonal_identity,
     tucker3,
 )
+import corcomp.decomp as decomp
 from corcomp.decomp import cp_als_batch, cp_fit_of
 from oracles import cp_als_loop_oracle
 
@@ -163,6 +164,17 @@ class TestCpAlsBatch:
         for got, want in zip(batch, alone):
             assert_same_model(got, want)
         assert_same_model(batch[1], cp_als_loop_oracle(tensors[1], 2, replace(self.CFG, seed=7)))
+
+    def test_residual_workspace_bound_changes_no_bits(self, monkeypatch):
+        X, _ = random_cp_tensor((12, 9, 5), 3, seed=48)
+        noisy = DenseTensor3(X.data + 0.1 * np.random.default_rng(49).standard_normal(X.dims))
+        cfg = replace(self.CFG, restarts=3, seed=9)
+        whole = cp_als_batch([noisy, X], 3, cfg, [9, 10])
+        # One member's residual at a time instead of all three restarts'.
+        monkeypatch.setattr(decomp, "_RESIDUAL_WORK_BYTES", X.data.nbytes)
+        for got, want in zip(cp_als_batch([noisy, X], 3, cfg, [9, 10]), whole):
+            assert_same_model(got, want)
+        assert_same_model(whole[0], cp_als_loop_oracle(noisy, 3, cfg))
 
     def test_mixed_dims_rejected(self):
         rng = np.random.default_rng(43)

@@ -8,6 +8,7 @@ from corcomp import (
     ExperimentConfig,
     FitConfig,
     Scheme,
+    StepError,
     SynthSpec,
     clamp_negatives,
     compress,
@@ -206,6 +207,23 @@ class TestRunExperiment:
         assert calls == [(15, 10, 8), (6, 4, 8)]
         assert all(cell.stats.n == 3 for cell in result.cells.values())
 
+    def test_chunked_fits_change_no_result(self, small_noisy_tensor, monkeypatch):
+        cfg = small_config()
+        whole = run_experiment(small_noisy_tensor, cfg)
+        batch_sizes = []
+        real_batch = harness.cp_als_batch
+
+        def recording_batch(tensors, *args):
+            batch_sizes.append(len(tensors))
+            return real_batch(tensors, *args)
+
+        monkeypatch.setattr(harness, "BATCH_BYTES", 3 * 15 * 10 * 8 * 8)  # 3 samples
+        monkeypatch.setattr(harness, "cp_als_batch", recording_batch)
+        chunked = run_experiment(small_noisy_tensor, cfg)
+        assert batch_sizes == [3, 1, 3, 1, 2]  # gaussian 4, orthonormal 4, tucker 2
+        for key, cell in whole.cells.items():
+            assert chunked.cells[key].raw_samples == cell.raw_samples
+
     def test_failing_sample_names_its_coordinates(self, small_noisy_tensor, monkeypatch):
         cfg = small_config()
         seed = sample_seed(cfg.master_seed, Scheme.ORTHONORMAL, 0.5, 2)
@@ -220,7 +238,7 @@ class TestRunExperiment:
             return real_corcondia(X, model)
 
         monkeypatch.setattr(harness, "corcondia", failing_corcondia)
-        with pytest.raises(RuntimeError) as info:
+        with pytest.raises(StepError) as info:
             run_experiment(small_noisy_tensor, cfg)
         message = str(info.value)
         for part in ("sample 2", "orthonormal", "0.5", f"operator seed {seed}", "exploded"):
@@ -234,7 +252,7 @@ class TestRunExperiment:
         monkeypatch.setattr(harness, "cp_als_batch", failing_batch)
         cfg = small_config(schemes=(Scheme.GAUSSIAN,))
         seeds = [sample_seed(cfg.master_seed, Scheme.GAUSSIAN, 0.5, s) for s in range(4)]
-        with pytest.raises(RuntimeError, match="gaussian") as info:
+        with pytest.raises(StepError, match="gaussian") as info:
             run_experiment(small_noisy_tensor, cfg)
         assert str(seeds) in str(info.value)
         assert isinstance(info.value.__cause__, ValueError)
