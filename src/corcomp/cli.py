@@ -7,7 +7,9 @@ one compression operator), and ``experiment`` (the full Monte Carlo
 grid, emitting a JSON result and a per-cell statistics CSV).
 
 All randomness flows from ``--seed``.  Exit codes: 0 on success, 2 for
-usage or infeasible-configuration errors, 1 for any other failure.
+usage or infeasible-configuration errors, 1 for bad input and for a
+failed sample or rank (:class:`StepError`).  Any other exception is a bug
+and keeps its traceback.
 """
 
 from __future__ import annotations
