@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .decomp import CpModel, FitConfig, cp_als, numerical_rank, pseudoinverse
+from .decomp import CpModel, FitConfig, cp_als, pseudoinverse_and_rank
 from .errors import ShapeError, StepError
 from .seeding import mix_seed
 from .tensor import DenseTensor3, as_matrix, n_mode_product, superdiagonal_identity
@@ -53,6 +53,12 @@ class CorcondiaReport:
 
 def corcondia_core(X: DenseTensor3, A, B, C) -> DenseTensor3:
     """Minimum-norm least-squares core of X given CP factors."""
+    return _core_and_ranks(X, A, B, C)[0]
+
+
+def _core_and_ranks(X: DenseTensor3, A, B, C) -> tuple[DenseTensor3, list[int]]:
+    """The least-squares core and the numerical rank of each factor at the
+    pseudoinverse cutoff, from one SVD per factor."""
     Am, Bm, Cm = as_matrix(A, "A"), as_matrix(B, "B"), as_matrix(C, "C")
     if not (Am.shape[1] == Bm.shape[1] == Cm.shape[1]):
         raise ShapeError(
@@ -64,18 +70,21 @@ def corcondia_core(X: DenseTensor3, A, B, C) -> DenseTensor3:
             f"factor row counts {(Am.shape[0], Bm.shape[0], Cm.shape[0])} "
             f"do not match tensor dims {X.dims}"
         )
-    out = n_mode_product(X, pseudoinverse(Am), 1)
-    out = n_mode_product(out, pseudoinverse(Bm), 2)
-    return n_mode_product(out, pseudoinverse(Cm), 3)
+    out, ranks = X, []
+    for mode, F in zip((1, 2, 3), (Am, Bm, Cm)):
+        inv, rank = pseudoinverse_and_rank(F)
+        out = n_mode_product(out, inv, mode)
+        ranks.append(rank)
+    return out, ranks
 
 
 def corcondia_from_factors(X: DenseTensor3, A, B, C) -> CorcondiaReport:
     """Diagnostic for explicit factor matrices (no fitting involved)."""
-    core = corcondia_core(X, A, B, C)
+    core, ranks = _core_and_ranks(X, A, B, C)
     R = core.dims[0]
     ident = superdiagonal_identity(R)
     value = (1.0 - float(np.sum((ident.data - core.data) ** 2)) / R) * 100.0
-    deficient = any(numerical_rank(F) < R for F in (A, B, C))
+    deficient = min(ranks) < R
     return CorcondiaReport(value=value, core=core, rank=R, factor_rank_deficient=deficient)
 
 

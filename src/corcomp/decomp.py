@@ -3,7 +3,9 @@ pseudoinverse the core consistency diagnostic relies on.
 
 CP models are fit with multi-restart ALS, every restart of every tensor
 of a batch stacked into one loop; Tucker models with a truncated
-higher-order SVD refined by orthogonal iteration.  Both fitters are pure
+higher-order SVD refined by orthogonal iteration, each leading subspace
+taken from the Gram matrix's eigendecomposition when the unfolding is
+wide and from an SVD when it is tall.  Both fitters are pure
 functions of ``(input, config)``: all randomness flows from the config
 seed through per-restart derived streams, so results are reproducible
 and independent of scheduling.
@@ -36,6 +38,7 @@ __all__ = [
     "tucker3",
     "orthonormalize_tucker",
     "pseudoinverse",
+    "pseudoinverse_and_rank",
 ]
 
 
@@ -346,7 +349,19 @@ def _fix_signs(U: np.ndarray) -> np.ndarray:
 
 
 def _leading_singular_vectors(M: np.ndarray, k: int) -> np.ndarray:
-    U, _, _ = np.linalg.svd(M, full_matrices=False)
+    """Orthonormal basis of the k-dimensional leading left singular subspace
+    of M, columns in descending singular-value order with fixed signs.
+
+    A wide M (rows <= cols) takes the top eigenvectors of its rows x rows
+    Gram matrix, which costs far less than an SVD of M and computes no
+    right singular vectors.  A tall M takes a thin SVD, or a full one
+    when k exceeds its column count.
+    """
+    rows, cols = M.shape
+    if rows <= cols:
+        _, V = np.linalg.eigh(M @ M.T)
+        return _fix_signs(V[:, ::-1][:, :k])
+    U, _, _ = np.linalg.svd(M, full_matrices=k > cols)
     return _fix_signs(U[:, :k])
 
 
@@ -355,11 +370,14 @@ def tucker3(
 ) -> TuckerModel:
     """Fit a Tucker model with core dims ``target`` = (P, Q, R).
 
-    Initializes each factor with the leading left singular vectors of the
-    corresponding unfolding, then refines by orthogonal iteration until
-    the relative fit change drops below ``cfg.rel_tolerance``.  The
-    procedure is deterministic; ``cfg.seed`` and ``cfg.restarts`` have no
-    effect on the result.
+    Initializes each factor with the leading left singular subspace of
+    the corresponding unfolding (HOSVD), then refines by orthogonal
+    iteration (HOOI) until the relative fit change drops below
+    ``cfg.rel_tolerance``.  A leading subspace comes from the
+    eigendecomposition of the unfolding's Gram matrix when the unfolding
+    is wide and from its SVD when it is tall.  The procedure is
+    deterministic; ``cfg.seed`` and ``cfg.restarts`` have no effect on
+    the result.
     """
     target = tuple(int(t) for t in target)  # type: ignore[assignment]
     if len(target) != 3 or min(target) < 1:
@@ -370,6 +388,7 @@ def tucker3(
 
     norm_x = frobenius_norm(X)
     factors = [_leading_singular_vectors(unfold(X, m), target[m - 1]) for m in (1, 2, 3)]
+    core = DenseTensor3(np.zeros(target))  # the core of the all-zero tensor
     iterations = 0
     converged = norm_x == 0.0
     prev_err = np.inf
@@ -381,15 +400,16 @@ def tucker3(
                 if other != m:
                     Y = n_mode_product(Y, factors[other - 1].T, other)
             factors[m - 1] = _leading_singular_vectors(unfold(Y, m), target[m - 1])
+        # Y = X x1 A^T x2 B^T, so this is the core of the current factors.
+        core = n_mode_product(Y, factors[2].T, 3)
         # With orthonormal factors the residual satisfies
         # ||X - rec||^2 = ||X||^2 - ||core||^2; cheap enough per sweep.
-        core_norm = frobenius_norm(_tucker_core(X, factors))
+        core_norm = frobenius_norm(core)
         err = float(np.sqrt(max(norm_x**2 - core_norm**2, 0.0))) / norm_x
         if abs(prev_err - err) <= cfg.rel_tolerance:
             converged = True
         prev_err = err
 
-    core = _tucker_core(X, factors)
     # Final fit from the explicit residual; the cancellation-prone norm
     # identity above is only used for the stopping rule.
     rec = reconstruct_tucker(core, *factors)
@@ -403,13 +423,6 @@ def tucker3(
         iterations=iterations,
         converged=converged,
     )
-
-
-def _tucker_core(X: DenseTensor3, factors: list[np.ndarray]) -> DenseTensor3:
-    out = X
-    for m in (1, 2, 3):
-        out = n_mode_product(out, factors[m - 1].T, m)
-    return out
 
 
 def orthonormalize_tucker(G: DenseTensor3, A, B, C) -> TuckerModel:
@@ -451,6 +464,12 @@ def pseudoinverse(M, tol: float | None = None) -> np.ndarray:
     is ``max(rows, cols) * eps * largest_singular_value``, so the zero
     matrix maps to the zero matrix of transposed shape.
     """
+    return pseudoinverse_and_rank(M, tol)[0]
+
+
+def pseudoinverse_and_rank(M, tol: float | None = None) -> tuple[np.ndarray, int]:
+    """:func:`pseudoinverse` and the number of singular values it kept,
+    the numerical rank of M at ``tol``, from one SVD."""
     Mm = as_matrix(M, "M")
     U, s, Vt = np.linalg.svd(Mm, full_matrices=False)
     if tol is None:
@@ -460,16 +479,7 @@ def pseudoinverse(M, tol: float | None = None) -> np.ndarray:
     inv = np.zeros_like(s)
     keep = s > tol
     inv[keep] = 1.0 / s[keep]
-    return Vt.T @ (inv[:, None] * U.T)
-
-
-def numerical_rank(M, tol: float | None = None) -> int:
-    """Number of singular values above the pseudoinverse cutoff."""
-    Mm = as_matrix(M, "M")
-    s = np.linalg.svd(Mm, compute_uv=False)
-    if tol is None:
-        tol = max(Mm.shape) * np.finfo(np.float64).eps * (s[0] if s.size else 0.0)
-    return int(np.count_nonzero(s > tol))
+    return Vt.T @ (inv[:, None] * U.T), int(np.count_nonzero(keep))
 
 
 def cp_fit_of(X: DenseTensor3, model: CpModel) -> float:

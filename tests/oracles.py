@@ -73,6 +73,17 @@ def core_lstsq_oracle(data: np.ndarray, A: np.ndarray, B: np.ndarray, C: np.ndar
     return g.reshape((P, Q, R), order="F")
 
 
+def leading_left_singular_vectors_oracle(M: np.ndarray, k: int) -> np.ndarray:
+    """The first k left singular vectors of a thin SVD, each column's
+    largest-magnitude entry made positive: the subspace step HOOI took
+    before it used the Gram eigendecomposition for wide unfoldings."""
+    U, _, _ = np.linalg.svd(M, full_matrices=False)
+    U = U[:, :k]
+    signs = np.sign(U[np.abs(U).argmax(axis=0), np.arange(U.shape[1])])
+    signs[signs == 0] = 1.0
+    return U * signs
+
+
 def cp_als_loop_oracle(X, R: int, cfg):
     """CP-ALS one restart at a time with 2-D numpy calls: the sequential
     loop that ``cp_als_batch`` stacks.  The arithmetic is the same, so the

@@ -120,6 +120,20 @@ class TestDiagnostic:
         assert report.factor_rank_deficient
         assert np.isfinite(report.value)
 
+    def test_one_svd_per_factor(self, monkeypatch):
+        X, (A, B, C) = random_cp((4, 5, 6), 2, seed=14)
+        calls = []
+        real_svd = np.linalg.svd
+
+        def counting_svd(M, *args, **kwargs):
+            calls.append(M.shape)
+            return real_svd(M, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        report = corcondia_from_factors(X, A, B, C)
+        assert calls == [(4, 2), (5, 2), (6, 2)]
+        assert not report.factor_rank_deficient
+
     def test_model_interface(self):
         X, _ = random_cp((4, 5, 6), 2, seed=13)
         model = cp_als(X, 2, TIGHT)

@@ -7,6 +7,7 @@ from corcomp import (
     DenseTensor3,
     FitConfig,
     ShapeError,
+    SynthSpec,
     compress,
     cp_als,
     frobenius_norm,
@@ -16,11 +17,13 @@ from corcomp import (
     reconstruct_cp,
     reconstruct_tucker,
     superdiagonal_identity,
+    synth_tensor,
     tucker3,
+    tucker_operator,
 )
 import corcomp.decomp as decomp
 from corcomp.decomp import cp_als_batch, cp_fit_of
-from oracles import cp_als_loop_oracle
+from oracles import cp_als_loop_oracle, leading_left_singular_vectors_oracle
 
 TIGHT = FitConfig(max_iterations=2000, rel_tolerance=1e-12, restarts=3, seed=0)
 
@@ -244,6 +247,89 @@ class TestTucker3:
         m1 = tucker3(X, (2, 2, 2), FitConfig(seed=1))
         m2 = tucker3(X, (2, 2, 2), FitConfig(seed=99))
         assert np.array_equal(m1.core.data, m2.core.data)
+
+
+def projector(U):
+    return U @ U.T
+
+
+def assert_orthonormal_columns(U, tol):
+    assert np.max(np.abs(U.T @ U - np.eye(U.shape[1]))) <= tol
+
+
+class TestLeadingSubspace:
+    @pytest.mark.parametrize("shape, k", [((8, 30), 3), ((8, 30), 8), ((10, 10), 4), ((10, 10), 10)])
+    def test_gram_path_spans_the_oracle_subspace(self, shape, k):
+        M = np.random.default_rng(50).standard_normal(shape)
+        U = decomp._leading_singular_vectors(M, k)
+        want = leading_left_singular_vectors_oracle(M, k)
+        assert U.shape == want.shape
+        assert_orthonormal_columns(U, 1e-12)
+        assert np.max(np.abs(projector(U) - projector(want))) <= 1e-9
+
+    def test_exactly_low_rank_wide(self):
+        rng = np.random.default_rng(51)
+        M = rng.standard_normal((6, 3)) @ rng.standard_normal((3, 40))
+        for k in (2, 3, 5, 6):  # below, at and above the rank; k == rows
+            U = decomp._leading_singular_vectors(M, k)
+            assert U.shape == (6, k)
+            assert_orthonormal_columns(U, 1e-12)
+            # Only the leading min(k, rank) directions have a spectral gap.
+            lead = min(k, 3)
+            want = leading_left_singular_vectors_oracle(M, lead)
+            assert np.max(np.abs(projector(U[:, :lead]) - projector(want))) <= 1e-9
+
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    def test_tall_path_is_the_svd(self, k):
+        M = np.random.default_rng(52).standard_normal((30, 8))
+        U = decomp._leading_singular_vectors(M, k)
+        assert np.array_equal(U, leading_left_singular_vectors_oracle(M, k))
+
+    def test_tall_with_more_directions_than_columns(self):
+        M = np.random.default_rng(53).standard_normal((10, 4))
+        U = decomp._leading_singular_vectors(M, 6)
+        assert U.shape == (10, 6)
+        assert_orthonormal_columns(U, 1e-12)
+        want = leading_left_singular_vectors_oracle(M, 4)
+        assert np.max(np.abs(projector(U[:, :4]) - projector(want))) <= 1e-9
+
+
+class TestTucker3SubspaceSteps:
+    def test_matches_svd_steps(self, monkeypatch):
+        X = synth_tensor(SynthSpec(dims=(240, 64, 12), rank=4, noise_level=0.05, seed=3))
+        cfg = FitConfig(max_iterations=200, rel_tolerance=1e-7)
+        target = (120, 32, 12)
+        got = tucker3(X, target, cfg)
+        monkeypatch.setattr(
+            decomp, "_leading_singular_vectors", leading_left_singular_vectors_oracle
+        )
+        want = tucker3(X, target, cfg)
+        assert got.iterations == want.iterations
+        assert abs(got.fit - want.fit) <= 1e-12
+        for F, G in zip((got.A, got.B, got.C), (want.A, want.B, want.C)):
+            assert np.max(np.abs(projector(F) - projector(G))) <= 1e-9
+
+    def test_zero_tensor(self):
+        X = DenseTensor3(np.zeros((6, 5, 4)))
+        model = tucker3(X, (3, 2, 2), TIGHT)
+        for F in (model.A, model.B, model.C):
+            assert_orthonormal_columns(F, 1e-12)
+        assert model.fit == 1.0
+        assert model.converged
+        assert model.core.dims == (3, 2, 2)
+        assert np.all(model.core.data == 0.0)
+        op = tucker_operator(X, (3, 2, 2), TIGHT)  # passes the 1e-10 row check
+        assert op.target_dims == (3, 2, 2)
+
+    def test_core_wider_than_the_other_modes(self):
+        # P = 5 exceeds Q * R = 4, so the mode-1 step's unfolding is tall
+        # with fewer columns than the directions asked for.
+        X = DenseTensor3(np.random.default_rng(54).standard_normal((10, 2, 2)))
+        model = tucker3(X, (5, 2, 2), TIGHT)
+        assert model.A.shape == (10, 5)
+        assert model.core.dims == (5, 2, 2)
+        assert_orthonormal_columns(model.A, 1e-10)
+        assert abs(model.fit - 1.0) <= 1e-10
 
 
 class TestOrthonormalizeTucker:
