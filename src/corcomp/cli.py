@@ -16,25 +16,16 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .compress import (
-    RatioSpec,
-    Scheme,
-    compress,
-    gaussian_operator,
-    orthonormal_operator,
-    ratio_to_dims,
-    tucker_operator,
-)
+from .compress import DEFAULT_MODES, RatioSpec, Scheme, compress, ratio_to_dims
 from .corcondia import corcondia_sweep
 from .decomp import FitConfig, cp_als, tucker3
 from .errors import ConfigError, FormatError, ShapeError, StepError
-from .harness import ExperimentConfig, run_experiment
+from .harness import ExperimentConfig, make_operator, run_experiment
 from .io import (
     SynthSpec,
     experiment_to_json,
@@ -45,33 +36,13 @@ from .io import (
 )
 
 
-_EXPERIMENT_DEFAULTS = {
-    "rank": 3,
-    "schemes": ["gaussian", "orthonormal", "tucker"],
-    "ratios": [0.5, 0.4, 0.3, 0.2, 0.1, 0.08, 0.04],
-    "samples_gaussian": 1000,
-    "samples_orthonormal": 1000,
-    "samples_tucker": 10,
-    "modes": [1, 2],
-    "seed": 0,
-    "restarts": 5,
-    "max_iter": 500,
-    "tol": 1e-8,
-    "workers": None,
-    "input": None,
-    "dims": None,
-    "out_json": None,
-    "out_csv": None,
-}
-
-
-def _add_fit_flags(p: argparse.ArgumentParser, for_experiment: bool = False) -> None:
-    p.add_argument("--restarts", type=int, default=None if for_experiment else 5,
-                   help="random initializations per fit (default 5)")
-    p.add_argument("--max-iter", type=int, default=None if for_experiment else 500,
-                   dest="max_iter", help="iteration cap per fit (default 500)")
-    p.add_argument("--tol", type=float, default=None if for_experiment else 1e-8,
-                   help="relative fit-change stopping tolerance (default 1e-8)")
+def _add_fit_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--restarts", type=int, default=FitConfig.restarts,
+                   help="random initializations per fit (default %(default)s)")
+    p.add_argument("--max-iter", type=int, default=FitConfig.max_iterations,
+                   dest="max_iter", help="iteration cap per fit (default %(default)s)")
+    p.add_argument("--tol", type=float, default=FitConfig.rel_tolerance,
+                   help="relative fit-change stopping tolerance (default %(default)s)")
 
 
 def _add_input_flags(p: argparse.ArgumentParser) -> None:
@@ -92,11 +63,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic low-rank tensor file")
     p.add_argument("--dims", type=int, nargs=3, metavar=("I", "J", "K"), required=True)
     p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--noise", type=float, default=0.0,
-                   help="relative Frobenius noise level (default 0)")
-    p.add_argument("--dist", choices=["uniform", "gaussian"], default="uniform",
-                   help="factor entry distribution (default uniform)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--noise", type=float, default=SynthSpec.noise_level,
+                   help="relative Frobenius noise level (default %(default)s)")
+    p.add_argument("--dist", choices=["uniform", "gaussian"],
+                   default=SynthSpec.factor_distribution,
+                   help="factor entry distribution (default %(default)s)")
+    p.add_argument("--seed", type=int, default=SynthSpec.seed)
     p.add_argument("--out", required=True, help="output tensor file")
     p.set_defaults(func=_cmd_synth)
 
@@ -107,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--tucker-dims", type=int, nargs=3, metavar=("P", "Q", "R"),
                        dest="tucker_dims", help="Tucker core dims")
     _add_fit_flags(p)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=FitConfig.seed)
     p.add_argument("--out-prefix", dest="out_prefix", default=None,
                    help="write factors to PREFIX_A.csv, PREFIX_B.csv, PREFIX_C.csv "
                         "(and PREFIX_core.tns for Tucker)")
@@ -117,44 +89,52 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_flags(p)
     p.add_argument("--ranks", type=int, nargs="+", required=True)
     _add_fit_flags(p)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=FitConfig.seed)
     p.set_defaults(func=_cmd_corcondia)
 
     p = sub.add_parser("compress", help="compress a tensor with one operator draw")
     _add_input_flags(p)
     p.add_argument("--scheme", choices=[s.value for s in Scheme], required=True)
     p.add_argument("--ratio", type=float, required=True)
-    p.add_argument("--modes", type=int, nargs="+", default=[1, 2],
-                   help="modes the ratio applies to (default 1 2)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--modes", type=int, nargs="+", default=DEFAULT_MODES,
+                   help="modes the ratio applies to (default %(default)s)")
+    p.add_argument("--seed", type=int, default=FitConfig.seed)
     _add_fit_flags(p)
     p.add_argument("--out", required=True, help="output tensor file")
     p.set_defaults(func=_cmd_compress)
 
+    grid = ExperimentConfig()
     p = sub.add_parser("experiment", help="Monte Carlo grid over schemes and ratios")
     p.add_argument("--config", default=None,
                    help="key=value file supplying defaults for any flag below")
     p.add_argument("--input", default=None)
     p.add_argument("--dims", type=int, nargs=3, metavar=("I", "J", "K"), default=None)
-    p.add_argument("--rank", type=int, default=None)
-    p.add_argument("--schemes", nargs="+", choices=[s.value for s in Scheme], default=None)
-    p.add_argument("--ratios", type=float, nargs="+", default=None)
-    p.add_argument("--samples-gaussian", type=int, default=None, dest="samples_gaussian")
-    p.add_argument("--samples-orthonormal", type=int, default=None, dest="samples_orthonormal")
-    p.add_argument("--samples-tucker", type=int, default=None, dest="samples_tucker")
-    p.add_argument("--modes", type=int, nargs="+", default=None)
-    p.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
-    _add_fit_flags(p, for_experiment=True)
+    p.add_argument("--rank", type=int, default=grid.rank,
+                   help="CP components fitted per sample (default %(default)s)")
+    p.add_argument("--schemes", nargs="+", choices=[s.value for s in Scheme],
+                   default=[s.value for s in grid.schemes],
+                   help="compression schemes (default %(default)s)")
+    p.add_argument("--ratios", type=float, nargs="+", default=grid.ratios,
+                   help="compression ratios (default %(default)s)")
+    for scheme in Scheme:
+        p.add_argument(f"--samples-{scheme.value}", type=int,
+                       default=grid.samples_per_cell[scheme],
+                       help="samples per cell (default %(default)s)")
+    p.add_argument("--modes", type=int, nargs="+", default=DEFAULT_MODES,
+                   help="modes the ratios apply to (default %(default)s)")
+    p.add_argument("--seed", type=int, default=grid.master_seed,
+                   help="master seed (default %(default)s)")
+    _add_fit_flags(p)
     p.add_argument("--workers", type=int, default=None,
                    help="accepted for compatibility; has no effect")
     p.add_argument("--out-json", dest="out_json", default=None)
     p.add_argument("--out-csv", dest="out_csv", default=None)
-    p.set_defaults(func=_cmd_experiment)
+    p.set_defaults(func=_cmd_experiment, parser=p)
 
     return parser
 
 
-def _fit_config(args: argparse.Namespace, seed: int = 0) -> FitConfig:
+def _fit_config(args: argparse.Namespace, seed: int = FitConfig.seed) -> FitConfig:
     return FitConfig(
         max_iterations=args.max_iter,
         rel_tolerance=args.tol,
@@ -214,17 +194,10 @@ def _cmd_corcondia(args: argparse.Namespace) -> int:
 
 def _cmd_compress(args: argparse.Namespace) -> int:
     X = read_tensor(args.input, dims=_dims_arg(args))
-    spec = RatioSpec(args.ratio, frozenset(args.modes))
-    target = ratio_to_dims(X.dims, spec)
-    scheme = Scheme(args.scheme)
-    if scheme is Scheme.GAUSSIAN:
-        op = gaussian_operator(X.dims, target, args.seed)
-    elif scheme is Scheme.ORTHONORMAL:
-        op = orthonormal_operator(X.dims, target, args.seed)
-    else:
-        op = tucker_operator(X, target, _fit_config(args, seed=args.seed))
+    target = ratio_to_dims(X.dims, RatioSpec(args.ratio, frozenset(args.modes)))
+    op = make_operator(X, Scheme(args.scheme), target, _fit_config(args), args.seed)
     write_tensor(compress(X, op), args.out)
-    print(f"wrote {args.out} dims={target} scheme={scheme.value} ratio={args.ratio}")
+    print(f"wrote {args.out} dims={target} scheme={args.scheme} ratio={args.ratio}")
     return 0
 
 
@@ -233,94 +206,57 @@ def _dims_arg(args: argparse.Namespace) -> tuple[int, int, int] | None:
 
 
 # ---------------------------------------------------------------------------
-# experiment flag/config merging
+# experiment config file
 
 
-def _parse_config_file(path: str) -> dict[str, str]:
-    mapping: dict[str, str] = {}
+def _config_argv(p: argparse.ArgumentParser, path: str) -> list[str]:
+    """The flag tokens of a ``key = value`` config file for ``p``.
+
+    A key is a flag's name without its leading dashes, in any case and
+    with ``_`` and ``-`` alike.  A list-valued flag's value is split on
+    commas and whitespace; any other value is passed whole, so a path may
+    contain spaces.  Types and choices are left to ``p``.
+    """
+    actions = {a.dest: a for a in p._actions if a.dest not in ("help", "config")}
+    argv: list[str] = []
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, value = line.split("=", 1)
-        mapping[key.strip().lower().replace("-", "_")] = value.strip()
-    return mapping
-
-
-def _split_list(value: str) -> list[str]:
-    return value.replace(",", " ").split()
-
-
-_CONFIG_PARSERS = {
-    "rank": int,
-    "schemes": _split_list,
-    "ratios": lambda v: [float(x) for x in _split_list(v)],
-    "samples_gaussian": int,
-    "samples_orthonormal": int,
-    "samples_tucker": int,
-    "modes": lambda v: [int(x) for x in _split_list(v)],
-    "seed": int,
-    "restarts": int,
-    "max_iter": int,
-    "tol": float,
-    "workers": int,
-    "input": str,
-    "dims": lambda v: [int(x) for x in _split_list(v)],
-    "out_json": str,
-    "out_csv": str,
-}
-
-
-def _merged_experiment_settings(args: argparse.Namespace) -> dict:
-    from_file: dict[str, object] = {}
-    if args.config:
-        raw = _parse_config_file(args.config)
-        unknown = set(raw) - set(_CONFIG_PARSERS)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
-        from_file = {k: _CONFIG_PARSERS[k](v) for k, v in raw.items()}
-    settings = {}
-    for key, default in _EXPERIMENT_DEFAULTS.items():
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            settings[key] = flag_value
-        elif key in from_file:
-            settings[key] = from_file[key]
+        key, value = (part.strip() for part in line.split("=", 1))
+        action = actions.get(key.lower().replace("-", "_"))
+        if action is None:
+            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        flag = action.option_strings[0]
+        if action.nargs is None:
+            argv.append(f"{flag}={value}")
         else:
-            settings[key] = default
-    return settings
+            argv += [flag, *value.replace(",", " ").split()]
+    return argv
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    s = _merged_experiment_settings(args)
-    if not s["input"]:
+    if not args.input:
         raise ConfigError("experiment needs an input tensor (--input or input= in config)")
-    X = read_tensor(s["input"], dims=tuple(s["dims"]) if s["dims"] else None)
-    schemes = tuple(Scheme(name) for name in s["schemes"])
-    samples = {
-        Scheme.GAUSSIAN: s["samples_gaussian"],
-        Scheme.ORTHONORMAL: s["samples_orthonormal"],
-        Scheme.TUCKER: s["samples_tucker"],
-    }
+    X = read_tensor(args.input, dims=_dims_arg(args))
+    schemes = tuple(Scheme(name) for name in args.schemes)
     cfg = ExperimentConfig(
-        rank=s["rank"],
+        rank=args.rank,
         schemes=schemes,
-        ratios=tuple(s["ratios"]),
-        samples_per_cell={sc: samples[sc] for sc in schemes},
-        compressed_modes=frozenset(s["modes"]),
-        master_seed=s["seed"],
-        fit=FitConfig(
-            max_iterations=s["max_iter"], rel_tolerance=s["tol"], restarts=s["restarts"]
-        ),
+        ratios=tuple(args.ratios),
+        samples_per_cell={sc: getattr(args, f"samples_{sc.value}") for sc in schemes},
+        compressed_modes=frozenset(args.modes),
+        master_seed=args.seed,
+        fit=_fit_config(args),
     )
     result = run_experiment(X, cfg)
     csv_lines = stats_csv_lines(result)
-    if s["out_json"]:
-        Path(s["out_json"]).write_text(experiment_to_json(result))
-    if s["out_csv"]:
-        Path(s["out_csv"]).write_text("\n".join(csv_lines) + "\n")
+    if args.out_json:
+        Path(args.out_json).write_text(experiment_to_json(result))
+    if args.out_csv:
+        Path(args.out_csv).write_text("\n".join(csv_lines) + "\n")
     print(f"baseline corcondia at rank {cfg.rank}: {result.baseline.value:.6f}")
     for line in csv_lines:
         print(line)
@@ -329,13 +265,16 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 def cli_main(argv: list[str] | None = None) -> int:
     """Run the CLI on an argument vector and return the exit code."""
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        if getattr(args, "config", None):
+            # The file's flags go first, so the command line's override them.
+            rest = argv[argv.index(args.command) + 1 :]
+            args = args.parser.parse_args(_config_argv(args.parser, args.config) + rest)
+        return args.func(args)
     except SystemExit as exc:  # argparse handles usage errors and --help
         return int(exc.code or 0)
-    try:
-        return args.func(args)
     except ConfigError as exc:
         print(f"corcomp: configuration error: {exc}", file=sys.stderr)
         return 2

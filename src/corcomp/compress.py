@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .decomp import FitConfig, tucker3
-from .errors import ShapeError
+from .errors import ConfigError, ShapeError
 from .tensor import DenseTensor3, as_matrix, n_mode_product
 
 __all__ = [
@@ -42,6 +42,10 @@ __all__ = [
 ]
 
 _ORTHO_TOL = 1e-10
+
+# Modes a ratio compresses unless told otherwise; mode 3 is typically too
+# small to be worth reducing.
+DEFAULT_MODES = (1, 2)
 
 
 class Scheme(str, enum.Enum):
@@ -105,19 +109,19 @@ class RatioSpec:
     """Compression ratio and the set of modes it applies to.
 
     The ratio is the fraction each listed mode is reduced to, e.g. 0.5
-    halves a mode.  By convention only modes 1 and 2 are compressed by
-    default; mode 3 is typically too small to be worth reducing.
+    halves a mode.  By default only modes 1 and 2 are compressed
+    (``DEFAULT_MODES``).
     """
 
     ratio: float
-    compressed_modes: frozenset[int] = field(default_factory=lambda: frozenset({1, 2}))
+    compressed_modes: frozenset[int] = field(default_factory=lambda: frozenset(DEFAULT_MODES))
 
     def __post_init__(self) -> None:
         if not 0.0 < self.ratio <= 1.0:
-            raise ValueError(f"ratio must lie in (0, 1], got {self.ratio}")
+            raise ConfigError(f"ratio must lie in (0, 1], got {self.ratio}")
         modes = frozenset(int(m) for m in self.compressed_modes)
         if not modes <= {1, 2, 3}:
-            raise ValueError(f"compressed modes must be a subset of {{1,2,3}}, got {modes}")
+            raise ConfigError(f"compressed modes must be a subset of {{1,2,3}}, got {modes}")
         object.__setattr__(self, "compressed_modes", modes)
 
 

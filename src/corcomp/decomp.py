@@ -18,13 +18,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ConfigError, ShapeError
 from .tensor import (
     DenseTensor3,
     as_matrix,
     frobenius_norm,
     n_mode_product,
-    reconstruct_cp,
     reconstruct_tucker,
     unfold,
 )
@@ -60,13 +59,13 @@ class FitConfig:
 
     def __post_init__(self) -> None:
         if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+            raise ConfigError("max_iterations must be >= 1")
         if not self.rel_tolerance > 0:
-            raise ValueError("rel_tolerance must be > 0")
+            raise ConfigError("rel_tolerance must be > 0")
         if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
+            raise ConfigError("restarts must be >= 1")
         if self.seed < 0:
-            raise ValueError("seed must be a nonnegative integer")
+            raise ConfigError("seed must be a nonnegative integer")
 
 
 @dataclass(frozen=True)
@@ -480,9 +479,3 @@ def pseudoinverse_and_rank(M, tol: float | None = None) -> tuple[np.ndarray, int
     keep = s > tol
     inv[keep] = 1.0 / s[keep]
     return Vt.T @ (inv[:, None] * U.T), int(np.count_nonzero(keep))
-
-
-def cp_fit_of(X: DenseTensor3, model: CpModel) -> float:
-    """Recompute 1 - relative reconstruction error of a CP model."""
-    rec = reconstruct_cp(model.A, model.B, model.C)
-    return 1.0 - float(np.linalg.norm(X.data - rec.data)) / frobenius_norm(X)

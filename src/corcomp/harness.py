@@ -23,6 +23,7 @@ import numpy as np
 
 from .corcondia import CorcondiaReport, corcondia
 from .compress import (
+    DEFAULT_MODES,
     CompressionOperator,
     RatioSpec,
     Scheme,
@@ -44,6 +45,7 @@ __all__ = [
     "ExperimentResult",
     "clamp_negatives",
     "summarize",
+    "make_operator",
     "run_experiment",
 ]
 
@@ -73,7 +75,7 @@ class ExperimentConfig:
     schemes: tuple[Scheme, ...] = (Scheme.GAUSSIAN, Scheme.ORTHONORMAL, Scheme.TUCKER)
     ratios: tuple[float, ...] = DEFAULT_RATIOS
     samples_per_cell: Mapping[Scheme, int] = field(default_factory=lambda: dict(DEFAULT_SAMPLES))
-    compressed_modes: frozenset[int] = field(default_factory=lambda: frozenset({1, 2}))
+    compressed_modes: frozenset[int] = field(default_factory=lambda: frozenset(DEFAULT_MODES))
     master_seed: int = 0
     fit: FitConfig = field(default_factory=FitConfig)
 
@@ -198,9 +200,12 @@ def sample_seed(master_seed: int, scheme: Scheme, ratio: float, index: int) -> i
     return mix_seed(master_seed, scheme.wire_id, _basis_points(ratio), index)
 
 
-def _operator(
+def make_operator(
     X: DenseTensor3, scheme: Scheme, target: tuple[int, int, int], fit: FitConfig, seed: int
 ) -> CompressionOperator:
+    """The ``scheme`` operator compressing X to ``target``: a random draw
+    from ``seed``, or a Tucker fit of X under ``fit`` with its seed set
+    to ``seed``."""
     if scheme is Scheme.GAUSSIAN:
         return gaussian_operator(X.dims, target, seed)
     if scheme is Scheme.ORTHONORMAL:
@@ -234,7 +239,7 @@ def _run_cell(
 
     def compressed_sample(s: int) -> DenseTensor3:
         try:
-            return compress(X, _operator(X, scheme, target, cfg.fit, seeds[s]))
+            return compress(X, make_operator(X, scheme, target, cfg.fit, seeds[s]))
         except Exception as exc:
             raise sample_failed(s, exc) from exc
 

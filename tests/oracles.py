@@ -57,6 +57,13 @@ def tucker_triple_sum(G: np.ndarray, A: np.ndarray, B: np.ndarray, C: np.ndarray
     return out
 
 
+def cp_fit_oracle(data: np.ndarray, A: np.ndarray, B: np.ndarray, C: np.ndarray) -> float:
+    """1 - relative reconstruction error of a CP model, reconstructing
+    sum_r a_r o b_r o c_r with einsum."""
+    rec = np.einsum("ir,jr,kr->ijk", A, B, C)
+    return 1.0 - float(np.linalg.norm(data - rec)) / float(np.linalg.norm(data))
+
+
 def core_lstsq_oracle(data: np.ndarray, A: np.ndarray, B: np.ndarray, C: np.ndarray) -> np.ndarray:
     """Minimum-norm core by solving the dense least-squares system whose
     design columns are the vectorized outer products a_p o b_q o c_r."""

@@ -3,7 +3,16 @@ import json
 import numpy as np
 import pytest
 
-from corcomp import read_tensor, summarize
+from corcomp import (
+    FitConfig,
+    RatioSpec,
+    Scheme,
+    compress,
+    make_operator,
+    ratio_to_dims,
+    read_tensor,
+    summarize,
+)
 from corcomp.cli import cli_main
 
 
@@ -83,6 +92,24 @@ class TestCompressCommand:
         )
         assert code == 0
         assert read_tensor(out_path).dims == (10, 7, 8)
+
+    @pytest.mark.parametrize("scheme", [s.value for s in Scheme])
+    def test_output_equals_library_compression(self, exact_tensor_file, tmp_path, scheme, capsys):
+        out_path = tmp_path / "c.tns"
+        code, _, _ = run(
+            ["compress", "--input", str(exact_tensor_file), "--scheme", scheme,
+             "--ratio", "0.4", "--modes", "1", "3", "--seed", "7", "--max-iter", "80",
+             "--tol", "1e-9", "--restarts", "2", "--out", str(out_path)],
+            capsys,
+        )
+        assert code == 0
+        X = read_tensor(exact_tensor_file)
+        target = ratio_to_dims(X.dims, RatioSpec(0.4, frozenset({1, 3})))
+        cfg = FitConfig(max_iterations=80, rel_tolerance=1e-9, restarts=2)
+        expected = compress(X, make_operator(X, Scheme(scheme), target, cfg, 7))
+        got = read_tensor(out_path)
+        assert got.dims == target == (8, 15, 3)
+        assert got.data.tobytes() == expected.data.tobytes()
 
 
 class TestDecomposeCommand:
@@ -192,6 +219,47 @@ class TestExperimentCommand:
         assert doc["config"]["schemes"] == ["orthonormal"]
         assert doc["config"]["master_seed"] == 11
 
+    @pytest.mark.parametrize(
+        "line, code, message",
+        [
+            ("frobnicate = 1", 2, "frobnicate"),
+            ("rank = abc", 2, "--rank"),
+            ("schemes = foo", 2, "--schemes"),
+            ("dims = 1 2", 2, "--dims"),
+            ("config = other.cfg", 2, "key 'config'"),
+            ("rank 3", 2, "expected key=value"),
+            ("input = {space_dir}/noisy.tns", 0, ""),
+        ],
+    )
+    def test_config_file_values(self, noisy_file, tmp_path, line, code, message, capsys):
+        space_dir = tmp_path / "a dir"
+        space_dir.mkdir()
+        space_dir.joinpath("noisy.tns").write_bytes(noisy_file.read_bytes())
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text(line.format(space_dir=space_dir) + "\n")
+        argv = ["experiment", "--config", str(cfg_file)] + self.BASE[1:] + ["--ratios", "0.5"]
+        if "input" not in line:
+            argv += ["--input", str(noisy_file)]
+        got, _, err = run(argv, capsys)
+        assert got == code
+        assert message in err
+
+    def test_config_key_spellings_agree(self, noisy_file, tmp_path, capsys):
+        outs = []
+        for key in ("max_iter", "max-iter", "MAX-Iter"):
+            cfg_file = tmp_path / "exp.cfg"
+            cfg_file.write_text(f"{key} = 40\n")
+            out_json = tmp_path / "r.json"
+            argv = ["experiment", "--config", str(cfg_file)] + self.BASE[1:]
+            del argv[argv.index("--max-iter") : argv.index("--max-iter") + 2]
+            code, _, _ = run(
+                argv + ["--input", str(noisy_file), "--out-json", str(out_json)], capsys
+            )
+            assert code == 0
+            outs.append(out_json.read_bytes())
+        assert outs[0] == outs[1] == outs[2]
+        assert json.loads(outs[0])["config"]["fit"]["max_iterations"] == 40
+
     def test_unknown_flag_exits_2(self, capsys):
         code, _, _ = run(["experiment", "--frobnicate"], capsys)
         assert code == 2
@@ -209,6 +277,10 @@ class TestExperimentCommand:
             ["--ratios", "0.5", "0.5"],
             ["--schemes", "gaussian", "gaussian"],
             ["--ratios", "0.12341", "0.12344"],
+            ["--ratios", "1.5"],
+            ["--modes", "4"],
+            ["--restarts", "0"],
+            ["--tol", "0"],
         ],
     )
     def test_duplicate_grid_entries_exit_2(self, noisy_file, grid, capsys):
