@@ -156,10 +156,6 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-def _save_matrix(path: Path, M: np.ndarray) -> None:
-    np.savetxt(path, M, delimiter=",")
-
-
 def _cmd_decompose(args: argparse.Namespace) -> int:
     X = read_tensor(args.input, dims=_dims_arg(args))
     cfg = _fit_config(args, seed=args.seed)
@@ -178,7 +174,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     if args.out_prefix:
         prefix = Path(args.out_prefix)
         for name, M in factors.items():
-            _save_matrix(prefix.parent / f"{prefix.name}_{name}.csv", M)
+            np.savetxt(prefix.parent / f"{prefix.name}_{name}.csv", M, delimiter=",")
         if core is not None:
             write_tensor(core, prefix.parent / f"{prefix.name}_core.tns")
     return 0

@@ -23,14 +23,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .decomp import CpModel, FitConfig, cp_als, pseudoinverse_and_rank
-from .errors import ShapeError, StepError
+from .decomp import CpModel, FitConfig, cp_als, max_feasible_cp_rank, pseudoinverse_and_rank
+from .errors import ConfigError, ShapeError, StepError
 from .seeding import mix_seed
 from .tensor import DenseTensor3, as_matrix, n_mode_product, superdiagonal_identity
 
 __all__ = [
     "CorcondiaReport",
-    "corcondia_core",
     "corcondia",
     "corcondia_from_factors",
     "corcondia_sweep",
@@ -51,14 +50,9 @@ class CorcondiaReport:
     factor_rank_deficient: bool = False
 
 
-def corcondia_core(X: DenseTensor3, A, B, C) -> DenseTensor3:
-    """Minimum-norm least-squares core of X given CP factors."""
-    return _core_and_ranks(X, A, B, C)[0]
-
-
-def _core_and_ranks(X: DenseTensor3, A, B, C) -> tuple[DenseTensor3, list[int]]:
-    """The least-squares core and the numerical rank of each factor at the
-    pseudoinverse cutoff, from one SVD per factor."""
+def corcondia_from_factors(X: DenseTensor3, A, B, C) -> CorcondiaReport:
+    """Diagnostic for explicit factor matrices (no fitting involved),
+    from the minimum-norm least-squares core and one SVD per factor."""
     Am, Bm, Cm = as_matrix(A, "A"), as_matrix(B, "B"), as_matrix(C, "C")
     if not (Am.shape[1] == Bm.shape[1] == Cm.shape[1]):
         raise ShapeError(
@@ -70,21 +64,14 @@ def _core_and_ranks(X: DenseTensor3, A, B, C) -> tuple[DenseTensor3, list[int]]:
             f"factor row counts {(Am.shape[0], Bm.shape[0], Cm.shape[0])} "
             f"do not match tensor dims {X.dims}"
         )
-    out, ranks = X, []
+    R = Am.shape[1]
+    core, deficient = X, False
     for mode, F in zip((1, 2, 3), (Am, Bm, Cm)):
         inv, rank = pseudoinverse_and_rank(F)
-        out = n_mode_product(out, inv, mode)
-        ranks.append(rank)
-    return out, ranks
-
-
-def corcondia_from_factors(X: DenseTensor3, A, B, C) -> CorcondiaReport:
-    """Diagnostic for explicit factor matrices (no fitting involved)."""
-    core, ranks = _core_and_ranks(X, A, B, C)
-    R = core.dims[0]
+        core = n_mode_product(core, inv, mode)
+        deficient |= rank < R
     ident = superdiagonal_identity(R)
     value = (1.0 - float(np.sum((ident.data - core.data) ** 2)) / R) * 100.0
-    deficient = min(ranks) < R
     return CorcondiaReport(value=value, core=core, rank=R, factor_rank_deficient=deficient)
 
 
@@ -100,11 +87,18 @@ def corcondia_sweep(
 
     Fits are independent, with per-rank seeds derived from ``cfg.seed``,
     so entries could be computed concurrently; output order matches the
-    input order.  A failure at any rank aborts the sweep with the rank
-    attached to the error.
+    input order.  Every rank is checked against the dims before any fit
+    runs.  A failure at any rank aborts the sweep with the rank attached
+    to the error.
     """
     if not ranks:
-        raise ValueError("ranks must be nonempty")
+        raise ConfigError("ranks must be nonempty")
+    feasible = max_feasible_cp_rank(X.dims)
+    for rank in ranks:
+        if not 1 <= rank <= feasible:
+            raise ConfigError(
+                f"rank {rank} is infeasible for dims {X.dims} (must be in [1, {feasible}])"
+            )
     reports = []
     for rank in ranks:
         try:

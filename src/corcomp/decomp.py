@@ -35,7 +35,6 @@ __all__ = [
     "cp_als",
     "cp_als_batch",
     "tucker3",
-    "orthonormalize_tucker",
     "pseudoinverse",
     "pseudoinverse_and_rank",
 ]
@@ -96,17 +95,16 @@ class CpModel:
 class TuckerModel:
     """Fitted Tucker model: core (PxQxR) and orthonormal-column factors.
 
-    ``fit`` is 1 minus the relative reconstruction error, or None for
-    models produced by re-orthonormalization rather than fitting.
+    ``fit`` is 1 minus the relative reconstruction error.
     """
 
     core: DenseTensor3
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
-    fit: float | None
-    iterations: int = 0
-    converged: bool = True
+    fit: float
+    iterations: int
+    converged: bool
 
 
 def _khatri_rao(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -422,38 +420,6 @@ def tucker3(
         iterations=iterations,
         converged=converged,
     )
-
-
-def orthonormalize_tucker(G: DenseTensor3, A, B, C) -> TuckerModel:
-    """Rewrite a Tucker model so the factors have orthonormal columns.
-
-    Each factor is replaced by the Q of its reduced QR factorization and
-    the triangular parts are pushed into the core, leaving the
-    reconstructed tensor unchanged.  Requires tall, full-column-rank
-    factors.
-    """
-    mats = [as_matrix(A, "A"), as_matrix(B, "B"), as_matrix(C, "C")]
-    expected = tuple(m.shape[1] for m in mats)
-    if G.dims != expected:
-        raise ShapeError(f"core dims {G.dims} do not match factor column counts {expected}")
-    qs: list[np.ndarray] = []
-    rs: list[np.ndarray] = []
-    for mode, F in zip((1, 2, 3), mats):
-        rows, cols = F.shape
-        if rows < cols:
-            raise ShapeError(f"mode-{mode} factor must be tall, got shape {F.shape}")
-        Q, Rm = np.linalg.qr(F)
-        diag = np.abs(np.diag(Rm))
-        if diag.min() <= rows * np.finfo(np.float64).eps * max(diag.max(), 1.0):
-            raise ValueError(f"mode-{mode} factor is rank-deficient")
-        signs = np.sign(np.diag(Rm))
-        signs[signs == 0] = 1.0
-        qs.append(Q * signs)
-        rs.append(signs[:, None] * Rm)
-    core = G
-    for m in (1, 2, 3):
-        core = n_mode_product(core, rs[m - 1], m)
-    return TuckerModel(core=core, A=qs[0], B=qs[1], C=qs[2], fit=None)
 
 
 def pseudoinverse(M, tol: float | None = None) -> np.ndarray:

@@ -5,10 +5,6 @@ class ShapeError(ValueError):
     """Operand shapes do not conform."""
 
 
-class BoundsError(IndexError):
-    """An index lies outside the tensor dimensions."""
-
-
 class FormatError(ValueError):
     """A tensor file is malformed or cannot be decoded."""
 

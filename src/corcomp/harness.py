@@ -267,16 +267,12 @@ def _run_cell(
     return values
 
 
-def run_experiment(
-    X: DenseTensor3, cfg: ExperimentConfig, workers: int = 1
-) -> ExperimentResult:
+def run_experiment(X: DenseTensor3, cfg: ExperimentConfig) -> ExperimentResult:
     """Run the full (scheme, ratio) grid and summarize each cell.
 
     The grid is validated before any computation: every compressed shape
     in it must support ``cfg.rank`` CP components.  Cells run one after
-    another.  ``workers`` is accepted for compatibility and has no
-    effect: once a cell's fits were batched, a thread pool over cells no
-    longer ran the grid faster.
+    another.
     """
     targets: dict[float, tuple[int, int, int]] = {}
     for ratio in cfg.ratios:

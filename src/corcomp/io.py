@@ -24,13 +24,13 @@ import json
 import os
 import struct
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .decomp import max_feasible_cp_rank
-from .errors import FormatError
+from .errors import ConfigError, FormatError
 from .harness import ExperimentResult, SummaryStats
 from .tensor import DenseTensor3, frobenius_norm, reconstruct_cp
 
@@ -66,17 +66,17 @@ class SynthSpec:
     def __post_init__(self) -> None:
         dims = tuple(int(d) for d in self.dims)
         if len(dims) != 3 or min(dims) < 1:
-            raise ValueError(f"dims must be three positive integers, got {self.dims}")
+            raise ConfigError(f"dims must be three positive integers, got {self.dims}")
         object.__setattr__(self, "dims", dims)
         if self.rank < 1 or self.rank > max_feasible_cp_rank(dims):
-            raise ValueError(
+            raise ConfigError(
                 f"rank {self.rank} is infeasible for dims {dims} "
                 f"(must be in [1, {max_feasible_cp_rank(dims)}])"
             )
         if self.noise_level < 0:
-            raise ValueError("noise_level must be >= 0")
+            raise ConfigError("noise_level must be >= 0")
         if self.factor_distribution not in ("uniform", "gaussian"):
-            raise ValueError(
+            raise ConfigError(
                 f"factor_distribution must be 'uniform' or 'gaussian', "
                 f"got {self.factor_distribution!r}"
             )
@@ -267,21 +267,6 @@ def _read_csv(
 # experiment results
 
 
-def _stats_dict(stats: SummaryStats) -> dict:
-    return {
-        "n": stats.n,
-        "min": stats.min,
-        "q1": stats.q1,
-        "median": stats.median,
-        "q3": stats.q3,
-        "max": stats.max,
-        "lower_whisker": stats.lower_whisker,
-        "upper_whisker": stats.upper_whisker,
-        "outliers": list(stats.outliers),
-        "smoothed_mean": stats.smoothed_mean,
-    }
-
-
 def experiment_to_json(result: ExperimentResult) -> str:
     """Deterministic JSON rendering of an experiment result.
 
@@ -297,12 +282,7 @@ def experiment_to_json(result: ExperimentResult) -> str:
             "samples_per_cell": {s.value: n for s, n in cfg.samples_per_cell.items()},
             "compressed_modes": sorted(cfg.compressed_modes),
             "master_seed": cfg.master_seed,
-            "fit": {
-                "max_iterations": cfg.fit.max_iterations,
-                "rel_tolerance": cfg.fit.rel_tolerance,
-                "restarts": cfg.fit.restarts,
-                "seed": cfg.fit.seed,
-            },
+            "fit": asdict(cfg.fit),
         },
         "baseline": {
             "rank": result.baseline.rank,
@@ -316,7 +296,7 @@ def experiment_to_json(result: ExperimentResult) -> str:
                 "ratio": cell.ratio,
                 "raw_samples": list(cell.raw_samples),
                 "clamped_samples": list(cell.clamped_samples),
-                "stats": _stats_dict(cell.stats),
+                "stats": asdict(cell.stats),
             }
             for cell in result.cells.values()
         ],
@@ -324,34 +304,17 @@ def experiment_to_json(result: ExperimentResult) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-STATS_CSV_HEADER = (
-    "scheme,ratio,n,min,q1,median,q3,max,lower_whisker,upper_whisker,"
-    "n_outliers,smoothed_mean"
-)
-
-
 def stats_csv_lines(result: ExperimentResult) -> list[str]:
-    """Per-cell boxplot statistics as CSV rows (floats in repr form, so
-    they round-trip exactly)."""
-    lines = [STATS_CSV_HEADER]
+    """Per-cell boxplot statistics as CSV rows, one column per
+    :class:`SummaryStats` field with ``outliers`` given as their count
+    ``n_outliers`` (floats in repr form, so they round-trip exactly)."""
+    names = [f.name for f in fields(SummaryStats)]
+    header = ["scheme", "ratio"] + ["n_outliers" if n == "outliers" else n for n in names]
+    lines = [",".join(header)]
     for cell in result.cells.values():
-        s = cell.stats
-        lines.append(
-            ",".join(
-                [
-                    cell.scheme.value,
-                    repr(cell.ratio),
-                    str(s.n),
-                    repr(s.min),
-                    repr(s.q1),
-                    repr(s.median),
-                    repr(s.q3),
-                    repr(s.max),
-                    repr(s.lower_whisker),
-                    repr(s.upper_whisker),
-                    str(len(s.outliers)),
-                    repr(s.smoothed_mean),
-                ]
-            )
-        )
+        row = [cell.scheme.value, repr(cell.ratio)]
+        for name in names:
+            value = getattr(cell.stats, name)
+            row.append(repr(len(value) if name == "outliers" else value))
+        lines.append(",".join(row))
     return lines

@@ -2,8 +2,8 @@
 
 All higher-level functionality (decompositions, the core consistency
 diagnostic, compression) is built on the operations defined here:
-mode-n fibers, mode-n unfolding/folding, n-mode products, and the
-reconstruction maps for CP and Tucker models.
+mode-n unfolding/folding, n-mode products, and the reconstruction maps
+for CP and Tucker models.
 
 Layout contract
 ---------------
@@ -30,11 +30,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BoundsError, ShapeError
+from .errors import ShapeError
 
 __all__ = [
     "DenseTensor3",
-    "mode_n_fiber",
     "unfold",
     "fold",
     "n_mode_product",
@@ -113,10 +112,6 @@ class DenseTensor3:
     def dims(self) -> tuple[int, int, int]:
         return self._data.shape  # type: ignore[return-value]
 
-    @property
-    def size(self) -> int:
-        return self._data.size
-
     def __getitem__(self, key):
         return self._data[key]
 
@@ -127,28 +122,6 @@ class DenseTensor3:
 
     def __repr__(self) -> str:
         return f"DenseTensor3(dims={self.dims})"
-
-
-def mode_n_fiber(X: DenseTensor3, mode: int, fixed: tuple[int, int]) -> np.ndarray:
-    """Extract a mode-n fiber, the vector obtained by varying only mode n.
-
-    ``fixed`` holds the indices of the two non-varying modes in increasing
-    mode order, e.g. ``(j, k)`` for mode 1 and ``(i, j)`` for mode 3.
-    """
-    _check_mode(mode)
-    a, b = (int(v) for v in fixed)
-    other_modes = [m for m in _MODES if m != mode]
-    for m, idx in zip(other_modes, (a, b)):
-        dim = X.dims[m - 1]
-        if not 0 <= idx < dim:
-            raise BoundsError(f"mode-{m} index {idx} out of range for dimension {dim}")
-    if mode == 1:
-        fib = X.data[:, a, b]
-    elif mode == 2:
-        fib = X.data[a, :, b]
-    else:
-        fib = X.data[a, b, :]
-    return fib.copy()
 
 
 def unfold(X: DenseTensor3, mode: int) -> np.ndarray:

@@ -8,18 +8,6 @@ under test.
 import numpy as np
 
 
-def fiber_oracle(data: np.ndarray, mode: int, fixed: tuple[int, int]) -> np.ndarray:
-    I, J, K = data.shape
-    if mode == 1:
-        j, k = fixed
-        return np.array([data[i, j, k] for i in range(I)])
-    if mode == 2:
-        i, k = fixed
-        return np.array([data[i, j, k] for j in range(J)])
-    i, j = fixed
-    return np.array([data[i, j, k] for k in range(K)])
-
-
 def unfold_oracle(data: np.ndarray, mode: int) -> np.ndarray:
     """Mode-n unfolding by explicit index arithmetic: remaining modes in
     increasing order, earlier mode varying fastest."""

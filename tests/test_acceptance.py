@@ -21,7 +21,6 @@ from corcomp import (
     clamp_negatives,
     compress,
     corcondia,
-    corcondia_core,
     corcondia_from_factors,
     cp_als,
     orthonormal_operator,
@@ -146,7 +145,7 @@ def test_criterion_6_core_matches_least_squares_oracle():
         if trial % 5 == 0 and rank > 1:
             A = A.copy()
             A[:, -1] = A[:, 0]  # rank-deficient factor
-        core = corcondia_core(X, A, B, C)
+        core = corcondia_from_factors(X, A, B, C).core
         oracle = core_lstsq_oracle(X.data, A, B, C)
         worst = max(worst, float(np.max(np.abs(core.data - oracle))))
     _report(6, worst <= 1e-8, f"50 instances, core size <= 3x3x3: max |core - oracle| "

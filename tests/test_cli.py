@@ -326,6 +326,28 @@ class TestErrorPaths:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["synth", "--rank", "2", "--noise", "-1"],
+            ["synth", "--rank", "99"],
+            ["corcondia", "--ranks", "0"],
+            ["corcondia", "--ranks", "2", "99"],
+        ],
+    )
+    def test_out_of_range_settings_exit_2(self, tmp_path, argv, capsys):
+        small = tmp_path / "small.tns"
+        assert cli_main(["synth", "--dims", "4", "4", "4", "--rank", "2", "--out", str(small)]) == 0
+        capsys.readouterr()
+        if argv[0] == "synth":
+            argv = argv + ["--dims", "4", "4", "4", "--out", str(tmp_path / "x.tns")]
+        else:
+            argv = argv + ["--input", str(small)]
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert "configuration error" in err
+        assert out == ""
+
     def test_missing_subcommand_exits_2(self, capsys):
         code, _, _ = run([], capsys)
         assert code == 2

@@ -1,12 +1,14 @@
+import importlib
+
 import numpy as np
 import pytest
 
 from corcomp import (
+    ConfigError,
     DenseTensor3,
     FitConfig,
     ShapeError,
     corcondia,
-    corcondia_core,
     corcondia_from_factors,
     corcondia_sweep,
     cp_als,
@@ -28,7 +30,7 @@ def random_cp(dims, rank, seed):
 class TestCore:
     def test_exact_model_core_is_identity(self):
         X, (A, B, C) = random_cp((4, 5, 6), 3, seed=0)
-        core = corcondia_core(X, A, B, C)
+        core = corcondia_from_factors(X, A, B, C).core
         assert np.max(np.abs(core.data - superdiagonal_identity(3).data)) <= 1e-8
 
     def test_scaling_lands_in_the_core(self):
@@ -40,7 +42,7 @@ class TestCore:
         c = rng.standard_normal(6)
         c /= np.linalg.norm(c)
         X = DenseTensor3(2.0 * np.einsum("i,j,k->ijk", a, b, c))
-        core = corcondia_core(X, a[:, None], b[:, None], c[:, None])
+        core = corcondia_from_factors(X, a[:, None], b[:, None], c[:, None]).core
         assert core.dims == (1, 1, 1)
         assert core.data[0, 0, 0] == pytest.approx(2.0, abs=1e-10)
 
@@ -48,15 +50,15 @@ class TestCore:
         rng = np.random.default_rng(2)
         X = DenseTensor3(rng.standard_normal((4, 5, 6)))
         A, B, C = (rng.standard_normal((d, 2)) for d in (4, 5, 6))
-        core = corcondia_core(X, A, B, C)
+        core = corcondia_from_factors(X, A, B, C).core
         assert np.max(np.abs(core.data - core_lstsq_oracle(X.data, A, B, C))) <= 1e-8
 
     def test_shape_mismatch(self):
         X, (A, B, C) = random_cp((4, 5, 6), 2, seed=3)
         with pytest.raises(ShapeError):
-            corcondia_core(X, A[:3], B, C)
+            corcondia_from_factors(X, A[:3], B, C)
         with pytest.raises(ShapeError):
-            corcondia_core(X, A, B, np.ones((6, 3)))
+            corcondia_from_factors(X, A, B, np.ones((6, 3)))
 
 
 class TestDiagnostic:
@@ -159,6 +161,18 @@ class TestSweep:
         X = DenseTensor3(np.zeros((3, 3, 3)))
         with pytest.raises(RuntimeError, match="rank 2"):
             corcondia_sweep(X, [2], TIGHT)
+
+    def test_infeasible_rank_is_rejected_before_any_fit(self, monkeypatch):
+        corcondia_mod = importlib.import_module("corcomp.corcondia")
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a rank was fitted")
+
+        monkeypatch.setattr(corcondia_mod, "cp_als", no_fit)
+        X, _ = random_cp((4, 4, 4), 2, seed=17)
+        for ranks in ([0], [2, 17]):
+            with pytest.raises(ConfigError, match=f"rank {ranks[-1]} is infeasible"):
+                corcondia_sweep(X, ranks)
 
     def test_empty_ranks(self):
         X, _ = random_cp((3, 3, 3), 1, seed=16)

@@ -12,11 +12,9 @@ from corcomp import (
     cp_als,
     frobenius_norm,
     orthonormal_operator,
-    orthonormalize_tucker,
     pseudoinverse,
     reconstruct_cp,
     reconstruct_tucker,
-    superdiagonal_identity,
     synth_tensor,
     tucker3,
     tucker_operator,
@@ -330,52 +328,6 @@ class TestTucker3SubspaceSteps:
         assert model.core.dims == (5, 2, 2)
         assert_orthonormal_columns(model.A, 1e-10)
         assert abs(model.fit - 1.0) <= 1e-10
-
-
-class TestOrthonormalizeTucker:
-    def test_orthonormal_input_is_fixed_point(self):
-        rng = np.random.default_rng(20)
-        G = DenseTensor3(rng.standard_normal((2, 2, 2)))
-        Q = [np.linalg.qr(rng.standard_normal((n, 2)))[0] for n in (6, 5, 4)]
-        model = orthonormalize_tucker(G, *Q)
-        # positive-diagonal QR convention: Q factors match up to roundoff
-        for got, given in zip((model.A, model.B, model.C), Q):
-            assert np.max(np.abs(np.abs(got) - np.abs(given))) <= 1e-12
-        before = reconstruct_tucker(G, *Q)
-        after = reconstruct_tucker(model.core, model.A, model.B, model.C)
-        assert np.allclose(before.data, after.data, atol=1e-12)
-
-    def test_preserves_reconstruction(self):
-        rng = np.random.default_rng(21)
-        G = DenseTensor3(rng.standard_normal((2, 2, 2)))
-        F = [rng.standard_normal((6, 2)), rng.standard_normal((6, 2)), rng.standard_normal((6, 2))]
-        model = orthonormalize_tucker(G, *F)
-        before = reconstruct_tucker(G, *F)
-        after = reconstruct_tucker(model.core, model.A, model.B, model.C)
-        scale = frobenius_norm(before)
-        assert frobenius_norm(DenseTensor3(before.data - after.data)) <= 1e-12 * scale
-        for Fq in (model.A, model.B, model.C):
-            assert np.max(np.abs(Fq.T @ Fq - np.eye(2))) <= 1e-10
-
-    def test_cp_model_becomes_orthonormal_tucker(self):
-        X, (A, B, C) = random_cp_tensor((6, 5, 4), 2, seed=22)
-        model = orthonormalize_tucker(superdiagonal_identity(2), A, B, C)
-        after = reconstruct_tucker(model.core, model.A, model.B, model.C)
-        assert np.allclose(after.data, X.data, atol=1e-12 * frobenius_norm(X))
-
-    def test_rank_deficient_factor_names_mode(self):
-        rng = np.random.default_rng(23)
-        A = rng.standard_normal((6, 2))
-        B = rng.standard_normal((5, 2))
-        C = np.ones((4, 2))  # duplicate columns
-        with pytest.raises(ValueError, match="mode-3"):
-            orthonormalize_tucker(superdiagonal_identity(2), A, B, C)
-
-    def test_wide_factor_rejected(self):
-        with pytest.raises(ShapeError, match="tall"):
-            orthonormalize_tucker(
-                superdiagonal_identity(3), np.ones((2, 3)), np.ones((4, 3)), np.ones((4, 3))
-            )
 
 
 def penrose_conditions_hold(M, P, tol=1e-10):

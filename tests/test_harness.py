@@ -124,13 +124,6 @@ class TestRunExperiment:
         for key in r1.cells:
             assert r1.cells[key].raw_samples == r2.cells[key].raw_samples
 
-    def test_workers_do_not_change_results(self, small_noisy_tensor):
-        cfg = small_config()
-        sequential = run_experiment(small_noisy_tensor, cfg, workers=1)
-        threaded = run_experiment(small_noisy_tensor, cfg, workers=4)
-        for key in sequential.cells:
-            assert sequential.cells[key].raw_samples == threaded.cells[key].raw_samples
-
     def test_cells_are_recomputable_in_isolation(self, small_noisy_tensor):
         cfg = small_config()
         result = run_experiment(small_noisy_tensor, cfg)

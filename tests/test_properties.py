@@ -1,11 +1,21 @@
 """Property tests over small random shapes: the invariants the README
-promises for unfolding and for Tucker fits."""
+promises for unfolding, for Tucker fits and for the rowspace projection."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corcomp import DenseTensor3, FitConfig, fold, tucker3, unfold
+from corcomp import (
+    DenseTensor3,
+    FitConfig,
+    fold,
+    frobenius_norm,
+    orthonormal_operator,
+    project_onto_rowspaces,
+    tucker3,
+    tucker_operator,
+    unfold,
+)
 
 FIT = FitConfig(max_iterations=100, rel_tolerance=1e-10)
 SETTINGS = settings(max_examples=25, deadline=None)
@@ -23,6 +33,16 @@ def tensors_and_targets(draw):
     X = draw(tensors())
     target = tuple(draw(st.integers(1, d)) for d in X.dims)
     return X, target
+
+
+@st.composite
+def projected_tensors(draw):
+    """A tensor and an orthonormal-row operator for its dims: a random
+    orthonormal draw or the Tucker fit of the tensor itself."""
+    X, target = draw(tensors_and_targets())
+    if draw(st.booleans()):
+        return X, orthonormal_operator(X.dims, target, draw(st.integers(0, 2**32 - 1)))
+    return X, tucker_operator(X, target, FIT)
 
 
 @SETTINGS
@@ -47,3 +67,18 @@ def test_tucker_factors_orthonormal_and_fit_bounded(case):
 @given(tensors())
 def test_tucker_at_full_dims_is_lossless(X):
     assert abs(tucker3(X, X.dims, FIT).fit - 1.0) <= 1e-10
+
+
+@SETTINGS
+@given(projected_tensors())
+def test_rowspace_projection_is_idempotent(case):
+    X, op = case
+    P = project_onto_rowspaces(X, op)
+    assert np.max(np.abs(project_onto_rowspaces(P, op).data - P.data)) <= 1e-10
+
+
+@SETTINGS
+@given(projected_tensors())
+def test_rowspace_projection_does_not_increase_the_norm(case):
+    X, op = case
+    assert frobenius_norm(project_onto_rowspaces(X, op)) <= frobenius_norm(X) * (1 + 1e-12)

@@ -2,12 +2,10 @@ import numpy as np
 import pytest
 
 from corcomp import (
-    BoundsError,
     DenseTensor3,
     ShapeError,
     fold,
     frobenius_norm,
-    mode_n_fiber,
     n_mode_product,
     reconstruct_cp,
     reconstruct_tucker,
@@ -15,7 +13,7 @@ from corcomp import (
     unfold,
 )
 
-from oracles import fiber_oracle, tucker_triple_sum, unfold_oracle
+from oracles import tucker_triple_sum, unfold_oracle
 
 
 @pytest.fixture
@@ -60,38 +58,13 @@ class TestDenseTensor3:
 
 
 class TestFibers:
-    def test_mode1_fiber(self, cube222):
-        assert np.array_equal(mode_n_fiber(cube222, 1, (0, 0)), [0.0, 1.0])
-
-    def test_mode3_fiber(self, cube222):
-        assert np.array_equal(mode_n_fiber(cube222, 3, (0, 0)), [0.0, 4.0])
-
-    def test_fiber_matches_oracle(self, random345):
-        rng = np.random.default_rng(0)
-        for mode, shape in ((1, (4, 5)), (2, (3, 5)), (3, (3, 4))):
-            fixed = (rng.integers(shape[0]), rng.integers(shape[1]))
-            assert np.array_equal(
-                mode_n_fiber(random345, mode, fixed),
-                fiber_oracle(random345.data, mode, fixed),
-            )
-
     def test_fiber_equals_unfolding_column(self, random345):
         # column index under the fixed ordering: earlier remaining mode fastest
         I, J, K = random345.dims
         j, k = 2, 3
-        assert np.array_equal(
-            mode_n_fiber(random345, 1, (j, k)), unfold(random345, 1)[:, j + J * k]
-        )
+        assert np.array_equal(random345.data[:, j, k], unfold(random345, 1)[:, j + J * k])
         i, j = 1, 3
-        assert np.array_equal(
-            mode_n_fiber(random345, 3, (i, j)), unfold(random345, 3)[:, i + I * j]
-        )
-
-    def test_out_of_range_names_mode(self, cube222):
-        with pytest.raises(BoundsError, match="mode-3"):
-            mode_n_fiber(cube222, 1, (0, 2))
-        with pytest.raises(BoundsError, match="mode-1"):
-            mode_n_fiber(cube222, 2, (5, 0))
+        assert np.array_equal(random345.data[i, j, :], unfold(random345, 3)[:, i + I * j])
 
 
 class TestUnfoldFold:
@@ -138,9 +111,7 @@ class TestNModeProduct:
         assert out.dims == (3, 6, 5)
         for i in range(3):
             for k in range(5):
-                assert np.allclose(
-                    mode_n_fiber(out, 2, (i, k)), Z @ mode_n_fiber(random345, 2, (i, k))
-                )
+                assert np.allclose(out.data[i, :, k], Z @ random345.data[i, :, k])
 
     def test_sugar_scale_dims(self):
         X = DenseTensor3(np.zeros((268, 44, 7)))
