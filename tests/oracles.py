@@ -82,8 +82,12 @@ def leading_left_singular_vectors_oracle(M: np.ndarray, k: int) -> np.ndarray:
 def cp_als_loop_oracle(X, R: int, cfg):
     """CP-ALS one restart at a time with 2-D numpy calls: the sequential
     loop that ``cp_als_batch`` stacks.  The arithmetic is the same, so the
-    batched engine must reproduce its models bit for bit."""
+    batched engine must reproduce its models bit for bit.  Each sweep's
+    relative error comes from the Gram identity
+    ``||X||^2 - 2<X_(3) kr3, C> + sum(G_AB * G_C)``, and from the explicit
+    residual where that falls below the library's guard."""
     from corcomp import CpModel, frobenius_norm, unfold
+    from corcomp.decomp import _EXPLICIT_RESIDUAL_BELOW as guard
 
     def khatri_rao(P, Q):
         return (P[:, None, :] * Q[None, :, :]).reshape(-1, P.shape[1])
@@ -91,9 +95,9 @@ def cp_als_loop_oracle(X, R: int, cfg):
     def solve(unf, kr, gram):
         rhs = unf @ kr
         try:
-            return np.linalg.solve(gram, rhs.T).T
+            return np.linalg.solve(gram, rhs.T).T, rhs
         except np.linalg.LinAlgError:
-            return (np.linalg.pinv(gram) @ rhs.T).T
+            return (np.linalg.pinv(gram) @ rhs.T).T, rhs
 
     def absorb_norms(F, C):
         norms = np.linalg.norm(F, axis=0)
@@ -111,13 +115,19 @@ def cp_als_loop_oracle(X, R: int, cfg):
         converged = False
         prev_err = np.inf
         for _ in range(cfg.max_iterations):
-            A = solve(unfs[0], khatri_rao(C, B), (C.T @ C) * (B.T @ B))
+            A, _ = solve(unfs[0], khatri_rao(C, B), (C.T @ C) * (B.T @ B))
             absorb_norms(A, C)
-            B = solve(unfs[1], khatri_rao(C, A), (C.T @ C) * (A.T @ A))
+            B, _ = solve(unfs[1], khatri_rao(C, A), (C.T @ C) * (A.T @ A))
             absorb_norms(B, C)
             kr3 = khatri_rao(B, A)
-            C = solve(unfs[2], kr3, (B.T @ B) * (A.T @ A))
-            err = float(np.linalg.norm(unfs[2] - C @ kr3.T)) / norm_x
+            gram_ab = (B.T @ B) * (A.T @ A)
+            C, m3 = solve(unfs[2], kr3, gram_ab)
+            # The Gram identity, and the explicit residual below the guard.
+            cross = np.add.reduce((m3 * C).ravel())
+            model = np.add.reduce((gram_ab * (C.T @ C)).ravel())
+            err = float(np.sqrt(max(norm_x * norm_x - 2.0 * cross + model, 0.0))) / norm_x
+            if err < guard:
+                err = float(np.linalg.norm(unfs[2] - C @ kr3.T)) / norm_x
             history.append(err)
             if abs(prev_err - err) <= cfg.rel_tolerance:
                 converged = True

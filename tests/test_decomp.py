@@ -83,6 +83,13 @@ class TestCpAls:
         assert np.array_equal(m1.C, m2.C)
         assert m1.fit == m2.fit
 
+    def test_iteration_cap_does_not_size_memory(self):
+        # Nothing is allocated per allowed sweep, only per sweep run.
+        X = DenseTensor3(np.random.default_rng(9).standard_normal((4, 5, 6)))
+        model = cp_als(X, 2, FitConfig(max_iterations=10**11, rel_tolerance=1e-8, restarts=2))
+        assert model.converged
+        assert len(model.error_history) == model.iterations < 10**4
+
     def test_nonconvergence_is_flagged_not_raised(self):
         rng = np.random.default_rng(8)
         X = DenseTensor3(rng.standard_normal((6, 6, 6)))
@@ -176,6 +183,18 @@ class TestCpAlsBatch:
         for got, want in zip(cp_als_batch([noisy, X], 3, cfg, [9, 10]), whole):
             assert_same_model(got, want)
         assert_same_model(whole[0], cp_als_loop_oracle(noisy, 3, cfg))
+        # The workspace is used only below the guard, which the exact fit reaches.
+        assert whole[1].error_history[-1] < decomp._EXPLICIT_RESIDUAL_BELOW
+
+    def test_exact_fit_ends_on_the_explicit_residual(self):
+        X, _ = random_cp_tensor((4, 5, 6), 2, seed=1)
+        model = cp_als(X, 2, TIGHT)
+        history = model.error_history
+        # The Gram identity took the early sweeps, the explicit residual the last.
+        assert history[0] >= decomp._EXPLICIT_RESIDUAL_BELOW > history[-1]
+        assert_same_model(model, cp_als_loop_oracle(X, 2, TIGHT))
+        # The identity alone gives 0 here; the stored fit is the explicit one.
+        assert abs(cp_fit_oracle(X.data, model.A, model.B, model.C) - model.fit) <= 1e-14
 
     def test_mixed_dims_rejected(self):
         rng = np.random.default_rng(43)

@@ -1,5 +1,6 @@
 """Property tests over small random shapes: the invariants the README
-promises for unfolding, for Tucker fits and for the rowspace projection."""
+promises for unfolding, for CP and Tucker fits and for the rowspace
+projection."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from corcomp import (
     DenseTensor3,
     FitConfig,
+    cp_als,
     fold,
     frobenius_norm,
     orthonormal_operator,
@@ -16,6 +18,8 @@ from corcomp import (
     tucker_operator,
     unfold,
 )
+from corcomp.decomp import max_feasible_cp_rank
+from oracles import cp_fit_oracle
 
 FIT = FitConfig(max_iterations=100, rel_tolerance=1e-10)
 SETTINGS = settings(max_examples=25, deadline=None)
@@ -49,6 +53,16 @@ def projected_tensors(draw):
 @given(tensors(), st.sampled_from((1, 2, 3)))
 def test_fold_inverts_unfold(X, mode):
     assert np.array_equal(fold(unfold(X, mode), mode, X.dims).data, X.data)
+
+
+@SETTINGS
+@given(tensors())
+def test_cp_fit_matches_recomputation(X):
+    # Every feasible R <= 3: the stored fit, from the Gram identity or the
+    # explicit residual, is the fit of the factors it is stored with.
+    for R in range(1, min(3, max_feasible_cp_rank(X.dims)) + 1):
+        model = cp_als(X, R, FIT)
+        assert abs(cp_fit_oracle(X.data, model.A, model.B, model.C) - model.fit) <= 1e-10
 
 
 @SETTINGS
