@@ -26,7 +26,13 @@ import numpy as np
 from .decomp import CpModel, FitConfig, cp_als, max_feasible_cp_rank, pseudoinverse_and_rank
 from .errors import ConfigError, ShapeError, StepError
 from .seeding import mix_seed
-from .tensor import DenseTensor3, as_matrix, n_mode_product, superdiagonal_identity
+from .tensor import (
+    DenseTensor3,
+    _check_factor_columns,
+    as_matrix,
+    n_mode_product,
+    superdiagonal_identity,
+)
 
 __all__ = [
     "CorcondiaReport",
@@ -54,17 +60,12 @@ def corcondia_from_factors(X: DenseTensor3, A, B, C) -> CorcondiaReport:
     """Diagnostic for explicit factor matrices (no fitting involved),
     from the minimum-norm least-squares core and one SVD per factor."""
     Am, Bm, Cm = as_matrix(A, "A"), as_matrix(B, "B"), as_matrix(C, "C")
-    if not (Am.shape[1] == Bm.shape[1] == Cm.shape[1]):
-        raise ShapeError(
-            "factor matrices must share a column count, got "
-            f"{Am.shape[1]}, {Bm.shape[1]}, {Cm.shape[1]}"
-        )
+    R = _check_factor_columns(Am, Bm, Cm)
     if (Am.shape[0], Bm.shape[0], Cm.shape[0]) != X.dims:
         raise ShapeError(
             f"factor row counts {(Am.shape[0], Bm.shape[0], Cm.shape[0])} "
             f"do not match tensor dims {X.dims}"
         )
-    R = Am.shape[1]
     core, deficient = X, False
     for mode, F in zip((1, 2, 3), (Am, Bm, Cm)):
         inv, rank = pseudoinverse_and_rank(F)

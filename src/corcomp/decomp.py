@@ -59,8 +59,8 @@ class FitConfig:
     def __post_init__(self) -> None:
         if self.max_iterations < 1:
             raise ConfigError("max_iterations must be >= 1")
-        if not self.rel_tolerance > 0:
-            raise ConfigError("rel_tolerance must be > 0")
+        if not 0 < self.rel_tolerance < np.inf:
+            raise ConfigError("rel_tolerance must be finite and > 0")
         if self.restarts < 1:
             raise ConfigError("restarts must be >= 1")
         if self.seed < 0:
@@ -195,26 +195,6 @@ def _identity_norms(norms, rhs3, C, gram_ab) -> np.ndarray:
     return np.sqrt(np.maximum(norms * norms - 2.0 * cross + model, 0.0))
 
 
-def _residual_norms(unfs3, spans, C, kr3, work) -> np.ndarray:
-    """Explicit residual norm ``||X_(3) - C kr3^T||`` of every member.
-
-    The residuals are written into ``work``, as many members of one
-    tensor at a time as it has rows.  The stacked ``(1, n) @ (n, 1)``
-    product runs the BLAS dot that ``np.linalg.norm`` runs, over the same
-    element order.
-    """
-    sq = np.empty(len(C))
-    for unf, span in zip(unfs3, spans):
-        for lo in range(span.start, span.stop, len(work)):
-            part = slice(lo, min(lo + len(work), span.stop))
-            res = work[: part.stop - part.start]
-            np.matmul(C[part], kr3[part].swapaxes(-1, -2), out=res)
-            np.subtract(unf, res, out=res)
-            flat = res.reshape(len(res), 1, -1)
-            sq[part] = np.matmul(flat, flat.swapaxes(-1, -2))[:, 0, 0]
-    return np.sqrt(sq)
-
-
 def _live_tensors(unfs, live: np.ndarray, restarts: int):
     """Unfoldings of the tensors with live members, and the contiguous
     run of live members that fits each."""
@@ -225,10 +205,6 @@ def _live_tensors(unfs, live: np.ndarray, restarts: int):
     spans = [slice(a, b) for a, b in zip(starts.tolist(), ends.tolist())]
     return [[u[t] for t in tensor_ids] for u in unfs], spans
 
-
-# Bytes of residual workspace a fit keeps: the members of a tensor larger
-# than this take their residuals one at a time, as a single fit would.
-_RESIDUAL_WORK_BYTES = 1 << 20
 
 # Below this relative error the Gram identity is mostly cancellation noise,
 # of order sqrt(eps), so such members take the explicit residual.
@@ -315,8 +291,6 @@ def cp_als_batch(
     # A tensor listed more than once (a Tucker cell's samples) is unfolded once.
     unfolded = {id(X): [unfold(X, mode) for mode in (1, 2, 3)] for X in tensors}
     unfs = [[unfolded[id(X)][m] for X in tensors] for m in range(3)]
-    rows = min(restarts, max(1, _RESIDUAL_WORK_BYTES // unfs[2][0].nbytes))
-    work = np.empty((rows,) + unfs[2][0].shape)
     # Sized by the sweeps run, not by the cap, which may be huge.
     history = np.empty((min(cfg.max_iterations, 64), members))
     live = np.arange(members)
@@ -327,13 +301,11 @@ def cp_als_batch(
     for sweep in range(cfg.max_iterations):
         A, B, C, kr3, rhs3, gram_ab = _als_sweep(live_unfs, spans, A, B, C)
         err = _identity_norms(live_norms, rhs3, C, gram_ab) / live_norms
-        low = np.flatnonzero(err < _EXPLICIT_RESIDUAL_BELOW)
-        if len(low):
-            low_unfs, low_spans = _live_tensors(unfs, live[low], restarts)
-            # Indexing the transposed stacks keeps them column-major.
-            C_low, kr3_low = (F.swapaxes(-1, -2)[low].swapaxes(-1, -2) for F in (C, kr3))
-            explicit = _residual_norms(low_unfs[2], low_spans, C_low, kr3_low, work)
-            err[low] = explicit / live_norms[low]
+        for k in np.flatnonzero(err < _EXPLICIT_RESIDUAL_BELOW):
+            # ||X_(3) - C kr3^T||, the product overwritten by the residual.
+            residual = C[k] @ kr3[k].T
+            np.subtract(unfs[2][live[k] // restarts], residual, out=residual)
+            err[k] = np.linalg.norm(residual) / live_norms[k]
         if sweep == len(history):
             history = np.concatenate((history, np.empty_like(history)))
         history[sweep, live] = err
@@ -470,7 +442,7 @@ def pseudoinverse_and_rank(M, tol: float | None = None) -> tuple[np.ndarray, int
     U, s, Vt = np.linalg.svd(Mm, full_matrices=False)
     if tol is None:
         tol = max(Mm.shape) * np.finfo(np.float64).eps * (s[0] if s.size else 0.0)
-    elif tol < 0:
+    elif not tol >= 0:
         raise ValueError(f"tol must be >= 0, got {tol}")
     inv = np.zeros_like(s)
     keep = s > tol

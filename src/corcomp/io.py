@@ -73,8 +73,8 @@ class SynthSpec:
                 f"rank {self.rank} is infeasible for dims {dims} "
                 f"(must be in [1, {max_feasible_cp_rank(dims)}])"
             )
-        if self.noise_level < 0:
-            raise ConfigError("noise_level must be >= 0")
+        if not 0 <= self.noise_level < np.inf:
+            raise ConfigError("noise_level must be finite and >= 0")
         if self.factor_distribution not in ("uniform", "gaussian"):
             raise ConfigError(
                 f"factor_distribution must be 'uniform' or 'gaussian', "
@@ -253,12 +253,16 @@ def _read_csv(
     if len(use_dims) != 3 or min(use_dims) < 1:
         raise FormatError(f"{path}: dims must be three positive integers, got {use_dims}")
     arr = np.zeros(use_dims)
+    first_line: dict[tuple[int, int, int], int] = {}
     for i, j, k, v, lineno in entries:
         if not (1 <= i <= use_dims[0] and 1 <= j <= use_dims[1] and 1 <= k <= use_dims[2]):
             raise FormatError(
                 f"{path}:{lineno}: index ({i},{j},{k}) out of range for dims {use_dims} "
                 f"(indices are 1-based)"
             )
+        first = first_line.setdefault((i, j, k), lineno)
+        if first != lineno:
+            raise FormatError(f"{path}:{lineno}: index ({i},{j},{k}) repeats line {first}")
         arr[i - 1, j - 1, k - 1] = v
     return DenseTensor3(arr)
 
@@ -273,17 +277,10 @@ def experiment_to_json(result: ExperimentResult) -> str:
     Raw per-sample values are always included so plots and alternative
     summaries never require refitting.
     """
-    cfg = result.config
+    # Scheme is a str enum, so its members serialize as their values.
+    config = asdict(result.config)
     doc = {
-        "config": {
-            "rank": cfg.rank,
-            "schemes": [s.value for s in cfg.schemes],
-            "ratios": list(cfg.ratios),
-            "samples_per_cell": {s.value: n for s, n in cfg.samples_per_cell.items()},
-            "compressed_modes": sorted(cfg.compressed_modes),
-            "master_seed": cfg.master_seed,
-            "fit": asdict(cfg.fit),
-        },
+        "config": {**config, "compressed_modes": sorted(config["compressed_modes"])},
         "baseline": {
             "rank": result.baseline.rank,
             "value": result.baseline.value,

@@ -281,6 +281,8 @@ class TestExperimentCommand:
             ["--modes", "4"],
             ["--restarts", "0"],
             ["--tol", "0"],
+            ["--tol", "inf"],
+            ["--tol", "nan"],
         ],
     )
     def test_duplicate_grid_entries_exit_2(self, noisy_file, grid, capsys):
@@ -333,6 +335,8 @@ class TestErrorPaths:
             ["synth", "--rank", "99"],
             ["corcondia", "--ranks", "0"],
             ["corcondia", "--ranks", "2", "99"],
+            ["synth", "--rank", "2", "--noise", "nan"],
+            ["synth", "--rank", "2", "--noise", "inf"],
         ],
     )
     def test_out_of_range_settings_exit_2(self, tmp_path, argv, capsys):

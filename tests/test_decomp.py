@@ -173,18 +173,16 @@ class TestCpAlsBatch:
             assert_same_model(got, want)
         assert_same_model(batch[1], cp_als_loop_oracle(tensors[1], 2, replace(self.CFG, seed=7)))
 
-    def test_residual_workspace_bound_changes_no_bits(self, monkeypatch):
+    def test_members_below_the_guard_match_the_loop(self):
         X, _ = random_cp_tensor((12, 9, 5), 3, seed=48)
         noisy = DenseTensor3(X.data + 0.1 * np.random.default_rng(49).standard_normal(X.dims))
         cfg = replace(self.CFG, restarts=3, seed=9)
-        whole = cp_als_batch([noisy, X], 3, cfg, [9, 10])
-        # One member's residual at a time instead of all three restarts'.
-        monkeypatch.setattr(decomp, "_RESIDUAL_WORK_BYTES", X.data.nbytes)
-        for got, want in zip(cp_als_batch([noisy, X], 3, cfg, [9, 10]), whole):
-            assert_same_model(got, want)
-        assert_same_model(whole[0], cp_als_loop_oracle(noisy, 3, cfg))
-        # The workspace is used only below the guard, which the exact fit reaches.
-        assert whole[1].error_history[-1] < decomp._EXPLICIT_RESIDUAL_BELOW
+        batch = cp_als_batch([noisy, X], 3, cfg, [9, 10])
+        for got, Xt, seed in zip(batch, (noisy, X), (9, 10)):
+            assert_same_model(got, cp_als_loop_oracle(Xt, 3, replace(cfg, seed=seed)))
+        # The exact fit ends on the explicit residual, the noisy one on the identity.
+        assert batch[1].error_history[-1] < decomp._EXPLICIT_RESIDUAL_BELOW
+        assert batch[0].error_history[-1] >= decomp._EXPLICIT_RESIDUAL_BELOW
 
     def test_exact_fit_ends_on_the_explicit_residual(self):
         X, _ = random_cp_tensor((4, 5, 6), 2, seed=1)
@@ -392,5 +390,6 @@ class TestPseudoinverse:
             assert penrose_conditions_hold(M, pseudoinverse(M))
 
     def test_negative_tol_rejected(self):
-        with pytest.raises(ValueError):
-            pseudoinverse(np.eye(2), tol=-1.0)
+        for tol in (-1.0, float("nan")):
+            with pytest.raises(ValueError):
+                pseudoinverse(np.eye(2), tol=tol)

@@ -129,6 +129,12 @@ class TestCsvFormat:
         with pytest.raises(FormatError, match="i,j,k,value"):
             read_tensor(path)
 
+    def test_repeated_index_names_both_lines(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_text("# dims: 2 2 2\n1,1,1,5.0\n2,1,1,1.0\n1,1,1,7.0\n")
+        with pytest.raises(FormatError, match=r"x\.csv:4: index \(1,1,1\) repeats line 2"):
+            read_tensor(path)
+
 
 class TestSynth:
     def test_noiseless_rank3_scores_100(self):
