@@ -1,110 +1,17 @@
 """corcomp: core consistency diagnostics for dense 3-mode tensors under
-randomized compression."""
+randomized compression.  The package re-exports each module's ``__all__``."""
 
 __version__ = "0.1.0"
 
-from .errors import ConfigError, FormatError, ShapeError, StepError
-from .tensor import (
-    DenseTensor3,
-    fold,
-    frobenius_norm,
-    n_mode_product,
-    reconstruct_cp,
-    reconstruct_tucker,
-    superdiagonal_identity,
-    unfold,
-)
-from .decomp import (
-    CpModel,
-    FitConfig,
-    TuckerModel,
-    cp_als,
-    cp_als_batch,
-    pseudoinverse,
-    tucker3,
-)
-from .corcondia import (
-    CorcondiaReport,
-    corcondia,
-    corcondia_from_factors,
-    corcondia_sweep,
-)
-from .compress import (
-    CompressionOperator,
-    RatioSpec,
-    Scheme,
-    compress,
-    gaussian_operator,
-    orthonormal_operator,
-    project_onto_rowspaces,
-    ratio_to_dims,
-    tucker_operator,
-)
-from .harness import (
-    CellResult,
-    ExperimentConfig,
-    ExperimentResult,
-    SummaryStats,
-    clamp_negatives,
-    make_operator,
-    run_experiment,
-    summarize,
-)
-from .io import (
-    SynthSpec,
-    experiment_to_json,
-    read_tensor,
-    stats_csv_lines,
-    synth_tensor,
-    write_tensor,
-)
+from . import errors as _errors, tensor as _tensor, decomp as _decomp
+from . import corcondia as _corcondia, compress as _compress, harness as _harness, io as _io
+from .errors import *
+from .tensor import *
+from .decomp import *
+from .corcondia import *
+from .compress import *
+from .harness import *
+from .io import *
 
-__all__ = [
-    "__version__",
-    "ConfigError",
-    "FormatError",
-    "ShapeError",
-    "StepError",
-    "DenseTensor3",
-    "fold",
-    "frobenius_norm",
-    "n_mode_product",
-    "reconstruct_cp",
-    "reconstruct_tucker",
-    "superdiagonal_identity",
-    "unfold",
-    "CpModel",
-    "FitConfig",
-    "TuckerModel",
-    "cp_als",
-    "cp_als_batch",
-    "pseudoinverse",
-    "tucker3",
-    "CorcondiaReport",
-    "corcondia",
-    "corcondia_from_factors",
-    "corcondia_sweep",
-    "CompressionOperator",
-    "RatioSpec",
-    "Scheme",
-    "compress",
-    "gaussian_operator",
-    "orthonormal_operator",
-    "project_onto_rowspaces",
-    "ratio_to_dims",
-    "tucker_operator",
-    "CellResult",
-    "ExperimentConfig",
-    "ExperimentResult",
-    "SummaryStats",
-    "clamp_negatives",
-    "make_operator",
-    "run_experiment",
-    "summarize",
-    "SynthSpec",
-    "experiment_to_json",
-    "read_tensor",
-    "stats_csv_lines",
-    "synth_tensor",
-    "write_tensor",
-]
+_MODULES = (_errors, _tensor, _decomp, _corcondia, _compress, _harness, _io)
+__all__ = ["__version__", *(name for module in _MODULES for name in module.__all__)]

@@ -27,7 +27,7 @@ import numpy as np
 
 from .decomp import FitConfig, tucker3
 from .errors import ConfigError, ShapeError
-from .tensor import DenseTensor3, as_matrix, n_mode_product
+from .tensor import DenseTensor3, _check_target, as_matrix, n_mode_product
 
 __all__ = [
     "Scheme",
@@ -127,27 +127,16 @@ class RatioSpec:
 
 def ratio_to_dims(dims: tuple[int, int, int], spec: RatioSpec) -> tuple[int, int, int]:
     """Target dims for a ratio: floor(ratio * dim), clamped to >= 1, on
-    each compressed mode; other modes are unchanged."""
+    each compressed mode; other modes are unchanged.  The product is
+    rounded to 9 decimals before the floor, so 0.29 of 100 is 29 and not
+    the 28 that ``0.29 * 100 == 28.999999999999996`` would give."""
     out = []
     for mode, d in zip((1, 2, 3), dims):
         if mode in spec.compressed_modes:
-            out.append(max(1, math.floor(spec.ratio * d)))
+            out.append(max(1, math.floor(round(spec.ratio * d, 9))))
         else:
             out.append(int(d))
     return tuple(out)  # type: ignore[return-value]
-
-
-def _check_target(dims, target) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
-    dims = tuple(int(d) for d in dims)
-    target = tuple(int(t) for t in target)
-    if len(dims) != 3 or len(target) != 3:
-        raise ShapeError("dims and target must be triples")
-    for mode, (t, d) in enumerate(zip(target, dims), start=1):
-        if t < 1:
-            raise ShapeError(f"target mode-{mode} size must be >= 1, got {t}")
-        if t > d:
-            raise ShapeError(f"target mode-{mode} size {t} exceeds source size {d}")
-    return dims, target
 
 
 def gaussian_operator(

@@ -19,8 +19,10 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, ShapeError
+from .seeding import check_seed
 from .tensor import (
     DenseTensor3,
+    _check_target,
     as_matrix,
     frobenius_norm,
     n_mode_product,
@@ -36,7 +38,6 @@ __all__ = [
     "cp_als_batch",
     "tucker3",
     "pseudoinverse",
-    "pseudoinverse_and_rank",
 ]
 
 
@@ -63,8 +64,7 @@ class FitConfig:
             raise ConfigError("rel_tolerance must be finite and > 0")
         if self.restarts < 1:
             raise ConfigError("restarts must be >= 1")
-        if self.seed < 0:
-            raise ConfigError("seed must be a nonnegative integer")
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -379,12 +379,7 @@ def tucker3(
     deterministic; ``cfg.seed`` and ``cfg.restarts`` have no effect on
     the result.
     """
-    target = tuple(int(t) for t in target)  # type: ignore[assignment]
-    if len(target) != 3 or min(target) < 1:
-        raise ShapeError(f"target core dims must be three positive ints, got {target}")
-    for t, d, m in zip(target, X.dims, (1, 2, 3)):
-        if t > d:
-            raise ShapeError(f"target mode-{m} size {t} exceeds tensor size {d}")
+    _, target = _check_target(X.dims, target)
 
     norm_x = frobenius_norm(X)
     factors = [_leading_singular_vectors(unfold(X, m), target[m - 1]) for m in (1, 2, 3)]

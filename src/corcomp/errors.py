@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["ShapeError", "FormatError", "ConfigError", "StepError"]
+
 
 class ShapeError(ValueError):
     """Operand shapes do not conform."""

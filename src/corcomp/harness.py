@@ -35,7 +35,7 @@ from .compress import (
 )
 from .decomp import FitConfig, cp_als, cp_als_batch, max_feasible_cp_rank
 from .errors import ConfigError, StepError
-from .seeding import mix_seed
+from .seeding import check_seed, mix_seed
 from .tensor import DenseTensor3
 
 __all__ = [
@@ -82,6 +82,7 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.rank < 1:
             raise ConfigError(f"rank must be >= 1, got {self.rank}")
+        check_seed(self.master_seed, "master_seed")
         schemes = tuple(Scheme(s) for s in self.schemes)
         if not schemes:
             raise ConfigError("schemes must be nonempty")

@@ -32,6 +32,7 @@ import numpy as np
 from .decomp import max_feasible_cp_rank
 from .errors import ConfigError, FormatError
 from .harness import ExperimentResult, SummaryStats
+from .seeding import check_seed
 from .tensor import DenseTensor3, frobenius_norm, reconstruct_cp
 
 __all__ = [
@@ -80,6 +81,7 @@ class SynthSpec:
                 f"factor_distribution must be 'uniform' or 'gaussian', "
                 f"got {self.factor_distribution!r}"
             )
+        check_seed(self.seed)
 
 
 def synth_tensor(spec: SynthSpec) -> DenseTensor3:
@@ -118,20 +120,16 @@ def _atomic_write(path: Path, payload: bytes) -> None:
         raise
 
 
-def write_tensor(X: DenseTensor3, path: str | Path, fmt: str | None = None) -> None:
-    """Write a tensor; format from ``fmt`` or the file extension
-    (``.csv`` triplets, ``.txt`` text, anything else binary)."""
+def write_tensor(X: DenseTensor3, path: str | Path) -> None:
+    """Write a tensor in the format its file extension names (``.csv``
+    triplets, ``.txt`` text, anything else binary)."""
     path = Path(path)
-    if fmt is None:
-        fmt = {".csv": "csv", ".txt": "text"}.get(path.suffix.lower(), "binary")
-    if fmt == "binary":
-        header = _HEADER.pack(MAGIC, BINARY_VERSION, *X.dims)
-        payload = header + X.to_flat().astype("<f8").tobytes()
-    elif fmt == "text":
+    suffix = path.suffix.lower()
+    if suffix == ".txt":
         lines = ["%d %d %d" % X.dims]
         lines.extend(repr(float(v)) for v in X.to_flat())
         payload = ("\n".join(lines) + "\n").encode()
-    elif fmt == "csv":
+    elif suffix == ".csv":
         i_, j_, k_ = X.dims
         lines = ["# dims: %d %d %d" % X.dims]
         for k in range(k_):
@@ -142,7 +140,8 @@ def write_tensor(X: DenseTensor3, path: str | Path, fmt: str | None = None) -> N
                         lines.append(f"{i + 1},{j + 1},{k + 1},{v!r}")
         payload = ("\n".join(lines) + "\n").encode()
     else:
-        raise ValueError(f"unknown tensor format {fmt!r}")
+        header = _HEADER.pack(MAGIC, BINARY_VERSION, *X.dims)
+        payload = header + X.to_flat().astype("<f8").tobytes()
     _atomic_write(path, payload)
 
 

@@ -8,6 +8,8 @@ independent of execution order.
 
 from __future__ import annotations
 
+from .errors import ConfigError
+
 _MASK64 = (1 << 64) - 1
 
 
@@ -31,3 +33,10 @@ def mix_seed(*components: int) -> int:
         h = ((h ^ (h >> 30)) * 0x94D049BB133111EB) & _MASK64
         h ^= h >> 31
     return h
+
+
+def check_seed(seed: int, name: str = "seed") -> None:
+    """Raise :class:`ConfigError` unless ``seed`` lies in [0, 2^64), where
+    :func:`mix_seed` maps distinct seeds to distinct streams."""
+    if not 0 <= seed <= _MASK64:
+        raise ConfigError(f"{name} must lie in [0, 2**64), got {seed}")

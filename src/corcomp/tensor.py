@@ -193,6 +193,19 @@ def _check_factor_columns(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> int:
     return A.shape[1]
 
 
+def _check_target(dims, target) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
+    dims = tuple(int(d) for d in dims)
+    target = tuple(int(t) for t in target)
+    if len(dims) != 3 or len(target) != 3:
+        raise ShapeError("dims and target must be triples")
+    for mode, (t, d) in enumerate(zip(target, dims), start=1):
+        if t < 1:
+            raise ShapeError(f"target mode-{mode} size must be >= 1, got {t}")
+        if t > d:
+            raise ShapeError(f"target mode-{mode} size {t} exceeds source size {d}")
+    return dims, target
+
+
 def reconstruct_cp(A, B, C) -> DenseTensor3:
     """Dense tensor of the CP model: the sum of R rank-one outer products.
 

@@ -283,6 +283,8 @@ class TestExperimentCommand:
             ["--tol", "0"],
             ["--tol", "inf"],
             ["--tol", "nan"],
+            ["--seed", "-1"],
+            ["--seed", str(2**64)],
         ],
     )
     def test_duplicate_grid_entries_exit_2(self, noisy_file, grid, capsys):
@@ -337,6 +339,11 @@ class TestErrorPaths:
             ["corcondia", "--ranks", "2", "99"],
             ["synth", "--rank", "2", "--noise", "nan"],
             ["synth", "--rank", "2", "--noise", "inf"],
+            ["synth", "--rank", "2", "--seed", "-1"],
+            ["synth", "--rank", "2", "--seed", str(2**64)],
+            ["corcondia", "--ranks", "1", "--seed", "-1"],
+            ["corcondia", "--ranks", "1", "--seed", str(2**64 + 5)],
+            ["decompose", "--rank", "1", "--seed", "-1"],
         ],
     )
     def test_out_of_range_settings_exit_2(self, tmp_path, argv, capsys):

@@ -42,6 +42,13 @@ class TestRatioArithmetic:
     def test_third_mode_compressible_on_request(self):
         assert ratio_to_dims((268, 44, 8), RatioSpec(0.5, frozenset({1, 2, 3}))) == (134, 22, 4)
 
+    @pytest.mark.parametrize(
+        "ratio, dim, expected", [(0.29, 100, 29), (0.57, 100, 57), (0.58, 100, 58), (0.35, 180, 63)]
+    )
+    def test_exact_product_is_not_floored_one_short(self, ratio, dim, expected):
+        # e.g. 0.29 * 100 == 28.999999999999996 in floating point
+        assert ratio_to_dims((dim, dim, 7), RatioSpec(ratio)) == (expected, expected, 7)
+
     def test_invalid_ratio(self):
         with pytest.raises(ValueError):
             RatioSpec(0.0)
