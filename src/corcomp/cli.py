@@ -23,17 +23,19 @@ import numpy as np
 from . import __version__
 from .compress import DEFAULT_MODES, RatioSpec, Scheme, compress, ratio_to_dims
 from .corcondia import corcondia_sweep
-from .decomp import FitConfig, cp_als, tucker3
+from .decomp import FitConfig, check_cp_rank, cp_als, tucker3
 from .errors import ConfigError, FormatError, ShapeError, StepError
 from .harness import ExperimentConfig, make_operator, run_experiment
 from .io import (
     SynthSpec,
+    _atomic_write,
     experiment_to_json,
     read_tensor,
     stats_csv_lines,
     synth_tensor,
     write_tensor,
 )
+from .tensor import _check_target
 
 
 def _add_fit_flags(p: argparse.ArgumentParser) -> None:
@@ -160,12 +162,17 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     X = read_tensor(args.input, dims=_dims_arg(args))
     cfg = _fit_config(args, seed=args.seed)
     if args.rank is not None:
+        check_cp_rank(args.rank, X.dims)
         model = cp_als(X, args.rank, cfg)
         factors = {"A": model.A, "B": model.B, "C": model.C}
         core = None
         print(f"cp rank={args.rank} fit={model.fit:.10f} "
               f"iterations={model.iterations} converged={model.converged}")
     else:
+        try:
+            _check_target(X.dims, args.tucker_dims)
+        except ShapeError as exc:
+            raise ConfigError(f"--tucker-dims {tuple(args.tucker_dims)}: {exc}") from None
         tm = tucker3(X, tuple(args.tucker_dims), cfg)
         factors = {"A": tm.A, "B": tm.B, "C": tm.C}
         core = tm.core
@@ -191,7 +198,8 @@ def _cmd_corcondia(args: argparse.Namespace) -> int:
 def _cmd_compress(args: argparse.Namespace) -> int:
     X = read_tensor(args.input, dims=_dims_arg(args))
     target = ratio_to_dims(X.dims, RatioSpec(args.ratio, frozenset(args.modes)))
-    op = make_operator(X, Scheme(args.scheme), target, _fit_config(args), args.seed)
+    cfg = _fit_config(args, seed=args.seed)
+    op = make_operator(X, Scheme(args.scheme), target, cfg, args.seed)
     write_tensor(compress(X, op), args.out)
     print(f"wrote {args.out} dims={target} scheme={args.scheme} ratio={args.ratio}")
     return 0
@@ -250,9 +258,9 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     result = run_experiment(X, cfg)
     csv_lines = stats_csv_lines(result)
     if args.out_json:
-        Path(args.out_json).write_text(experiment_to_json(result))
+        _atomic_write(Path(args.out_json), experiment_to_json(result).encode())
     if args.out_csv:
-        Path(args.out_csv).write_text("\n".join(csv_lines) + "\n")
+        _atomic_write(Path(args.out_csv), ("\n".join(csv_lines) + "\n").encode())
     print(f"baseline corcondia at rank {cfg.rank}: {result.baseline.value:.6f}")
     for line in csv_lines:
         print(line)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .decomp import CpModel, FitConfig, cp_als, max_feasible_cp_rank, pseudoinverse_and_rank
+from .decomp import CpModel, FitConfig, check_cp_rank, cp_als, pseudoinverse_and_rank
 from .errors import ConfigError, ShapeError, StepError
 from .seeding import mix_seed
 from .tensor import (
@@ -94,12 +94,8 @@ def corcondia_sweep(
     """
     if not ranks:
         raise ConfigError("ranks must be nonempty")
-    feasible = max_feasible_cp_rank(X.dims)
     for rank in ranks:
-        if not 1 <= rank <= feasible:
-            raise ConfigError(
-                f"rank {rank} is infeasible for dims {X.dims} (must be in [1, {feasible}])"
-            )
+        check_cp_rank(rank, X.dims)
     reports = []
     for rank in ranks:
         try:

@@ -88,10 +88,6 @@ class CpModel:
     converged: bool
     error_history: tuple[float, ...] = ()
 
-    @property
-    def rank(self) -> int:
-        return self.A.shape[1]
-
 
 @dataclass(frozen=True)
 class TuckerModel:
@@ -111,20 +107,10 @@ class TuckerModel:
 
 def _khatri_rao(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """Column-wise Kronecker products of stacked factors, Q's row index
-    varying fastest: ``(..., p, R)`` and ``(..., q, R)`` give ``(..., p*q, R)``.
-
-    The result is column-major when both inputs are and row-major
-    otherwise.  BLAS picks its kernel, and so the last bits of the
-    products taken with the result, by that layout, so it is fixed here
-    rather than left to numpy's broadcasting.
-    """
+    varying fastest: ``(..., p, R)`` and ``(..., q, R)`` give ``(..., p*q, R)``."""
     lead, R = P.shape[:-2], P.shape[-1]
-    if P.strides[-2] == Q.strides[-2] == P.itemsize:  # both column-major
-        Pt, Qt = P.swapaxes(-1, -2), Q.swapaxes(-1, -2)
-        return (Pt[..., :, None] * Qt[..., None, :]).reshape(lead + (R, -1)).swapaxes(-1, -2)
-    out = np.empty(lead + (P.shape[-2], Q.shape[-2], R))
-    np.multiply(P[..., :, None, :], Q[..., None, :, :], out=out)
-    return out.reshape(lead + (-1, R))
+    Pt, Qt = P.swapaxes(-1, -2), Q.swapaxes(-1, -2)
+    return (Pt[..., :, None] * Qt[..., None, :]).reshape(lead + (R, -1)).swapaxes(-1, -2)
 
 
 def _gram(F: np.ndarray) -> np.ndarray:
@@ -148,8 +134,8 @@ def _solve_factors(
     Khatri-Rao products in one stacked product.  The normal equations are
     solved as one batch.  When any member's Gram matrix is singular the
     batch is redone member by member, and only the failing members take
-    the pseudoinverse.  Returns the factors column-major, ``(M, d, R)``,
-    and the right-hand sides ``unf @ kr``.
+    the pseudoinverse.  Returns the factors, ``(M, d, R)``, and the
+    right-hand sides ``unf @ kr``.
     """
     rhs = np.empty(kr.shape[:-2] + (unfs[0].shape[0], kr.shape[-1]))
     for unf, span in zip(unfs, spans):
@@ -217,6 +203,16 @@ def max_feasible_cp_rank(dims: tuple[int, int, int]) -> int:
     return min(j * k, i * k, i * j)
 
 
+def check_cp_rank(rank: int, dims: tuple[int, int, int]) -> None:
+    """Raise :class:`ConfigError` unless ``rank`` lies in
+    [1, :func:`max_feasible_cp_rank`]."""
+    feasible = max_feasible_cp_rank(dims)
+    if not 1 <= rank <= feasible:
+        raise ConfigError(
+            f"rank {rank} is infeasible for dims {dims} (must be in [1, {feasible}])"
+        )
+
+
 def cp_als(X: DenseTensor3, R: int, cfg: FitConfig = FitConfig()) -> CpModel:
     """Fit an R-component CP model by alternating least squares.
 
@@ -280,7 +276,6 @@ def cp_als_batch(
 
     restarts = cfg.restarts
     members = len(tensors) * restarts
-    # Row-major like the draws; every sweep's solves return column-major.
     A, B, C = (np.empty((members, d, R)) for d in dims)
     for m in range(members):
         t, restart = divmod(m, restarts)
@@ -317,9 +312,9 @@ def cp_als_batch(
         for k in np.flatnonzero(done):
             errors = tuple(history[: sweep + 1, live[k]].tolist())
             fits[live[k]] = CpModel(
-                A=A[k].copy(order="F"),
-                B=B[k].copy(order="F"),
-                C=C[k].copy(order="F"),
+                A=A[k].copy(),
+                B=B[k].copy(),
+                C=C[k].copy(),
                 fit=1.0 - errors[-1],
                 iterations=sweep + 1,
                 converged=bool(converged[k]),
@@ -328,8 +323,7 @@ def cp_als_batch(
         if done.all():
             break
         keep = ~done
-        # Indexing the transposed stacks keeps the factors column-major.
-        A, B, C = (F.swapaxes(-1, -2)[keep].swapaxes(-1, -2) for F in (A, B, C))
+        A, B, C = A[keep], B[keep], C[keep]
         live, live_norms, prev_err = live[keep], live_norms[keep], prev_err[keep]
         live_unfs, spans = _live_tensors(unfs, live, restarts)
 

@@ -285,10 +285,6 @@ def run_experiment(X: DenseTensor3, cfg: ExperimentConfig) -> ExperimentResult:
                 f"most {feasible} CP components (rank {cfg.rank} requested)"
             )
         targets[ratio] = target
-    if cfg.rank > max_feasible_cp_rank(X.dims):
-        raise ConfigError(
-            f"rank {cfg.rank} is infeasible for the uncompressed dims {X.dims}"
-        )
 
     baseline_model = cp_als(
         X, cfg.rank, replace(cfg.fit, seed=mix_seed(cfg.master_seed, BASELINE_TAG))

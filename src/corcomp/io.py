@@ -12,7 +12,7 @@ magic bytes and extension:
   ``I J K``, then one value per line in the same flat order.
 * CSV triplets (``.csv``): lines ``i,j,k,value`` with 1-based indices,
   unlisted entries zero.  Dims come from a ``# dims: I J K`` comment
-  line or the ``dims`` argument.
+  line or the ``dims`` argument; when both are given they must agree.
 
 All writes go through a temporary file in the target directory followed
 by an atomic rename.
@@ -23,13 +23,12 @@ from __future__ import annotations
 import json
 import os
 import struct
-import tempfile
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .decomp import max_feasible_cp_rank
+from .decomp import check_cp_rank
 from .errors import ConfigError, FormatError
 from .harness import ExperimentResult, SummaryStats
 from .seeding import check_seed
@@ -69,11 +68,7 @@ class SynthSpec:
         if len(dims) != 3 or min(dims) < 1:
             raise ConfigError(f"dims must be three positive integers, got {self.dims}")
         object.__setattr__(self, "dims", dims)
-        if self.rank < 1 or self.rank > max_feasible_cp_rank(dims):
-            raise ConfigError(
-                f"rank {self.rank} is infeasible for dims {dims} "
-                f"(must be in [1, {max_feasible_cp_rank(dims)}])"
-            )
+        check_cp_rank(self.rank, dims)
         if not 0 <= self.noise_level < np.inf:
             raise ConfigError("noise_level must be finite and >= 0")
         if self.factor_distribution not in ("uniform", "gaussian"):
@@ -109,7 +104,9 @@ def synth_tensor(spec: SynthSpec) -> DenseTensor3:
 
 
 def _atomic_write(path: Path, payload: bytes) -> None:
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name + ".")
+    # Mode 0o666 leaves the permissions to the umask, as open() does (not mkstemp).
+    tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(payload)
@@ -148,7 +145,8 @@ def write_tensor(X: DenseTensor3, path: str | Path) -> None:
 def read_tensor(path: str | Path, dims: tuple[int, int, int] | None = None) -> DenseTensor3:
     """Read a tensor file (format auto-detected; see module docstring).
 
-    ``dims`` is only consulted for CSV files lacking a dims header.
+    ``dims`` gives the dims of a CSV file without a ``# dims:`` line.  When
+    a CSV file has that line, ``dims`` may only repeat it.
     """
     path = Path(path)
     raw = path.read_bytes()
@@ -243,6 +241,10 @@ def _read_csv(
         if not np.isfinite(v):
             raise FormatError(f"{path}:{lineno}: non-finite value {parts[3]!r}")
         entries.append((i, j, k, v, lineno))
+    if dims is not None and header_dims is not None and tuple(dims) != header_dims:
+        raise FormatError(
+            f"{path}: dims argument {tuple(dims)} differs from the file's dims line {header_dims}"
+        )
     use_dims = dims if dims is not None else header_dims
     if use_dims is None:
         raise FormatError(

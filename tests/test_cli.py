@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -307,6 +309,24 @@ class TestExperimentCommand:
         assert code == 1
         assert "sample 0 of cell (gaussian, 0.5)" in err
 
+    def test_failed_result_write_keeps_the_old_file(
+        self, noisy_file, tmp_path, monkeypatch, capsys
+    ):
+        out_json = tmp_path / "r.json"
+        out_json.write_text("old\n")
+
+        def no_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", no_replace)
+        code, _, err = run(
+            self.BASE + ["--input", str(noisy_file), "--out-json", str(out_json)], capsys
+        )
+        assert code == 1
+        assert "disk full" in err
+        assert out_json.read_text() == "old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["noisy.tns", "r.json"]
+
     def test_internal_error_is_not_mapped_to_an_exit_code(self, noisy_file, monkeypatch, capsys):
         import corcomp.cli as cli
 
@@ -320,6 +340,36 @@ class TestExperimentCommand:
     def test_missing_input_exits_2(self, capsys):
         code, _, err = run(["experiment", "--rank", "3"], capsys)
         assert code == 2
+
+
+class TestOutputFiles:
+    def test_files_take_their_mode_from_the_umask(self, tmp_path, capsys):
+        for umask in (0o022, 0o077):
+            out = tmp_path / f"umask{umask:03o}"
+            out.mkdir()
+            x = str(out / "x.tns")
+            commands = [
+                ["synth", "--dims", "12", "10", "6", "--rank", "2", "--seed", "1", "--out", x],
+                ["synth", "--dims", "4", "4", "4", "--rank", "2", "--out", str(out / "y.txt")],
+                ["synth", "--dims", "4", "4", "4", "--rank", "2", "--out", str(out / "y.csv")],
+                ["compress", "--input", x, "--scheme", "gaussian", "--ratio", "0.5",
+                 "--out", str(out / "c.tns")],
+                ["decompose", "--input", x, "--tucker-dims", "2", "2", "2",
+                 "--out-prefix", str(out / "t")],
+                ["experiment", "--input", x, "--rank", "2", "--schemes", "gaussian",
+                 "--ratios", "0.5", "--samples-gaussian", "1", "--restarts", "1",
+                 "--max-iter", "20", "--out-json", str(out / "r.json"),
+                 "--out-csv", str(out / "r.csv")],
+            ]
+            old = os.umask(umask)
+            try:
+                for argv in commands:
+                    assert run(argv, capsys)[0] == 0
+            finally:
+                os.umask(old)
+            modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in out.iterdir()}
+            assert len(modes) == 10
+            assert modes == dict.fromkeys(modes, 0o666 & ~umask)
 
 
 class TestErrorPaths:
@@ -344,6 +394,14 @@ class TestErrorPaths:
             ["corcondia", "--ranks", "1", "--seed", "-1"],
             ["corcondia", "--ranks", "1", "--seed", str(2**64 + 5)],
             ["decompose", "--rank", "1", "--seed", "-1"],
+            ["compress", "--scheme", "gaussian", "--ratio", "0.5", "--seed", "-1"],
+            ["compress", "--scheme", "gaussian", "--ratio", "0.5", "--seed", str(2**64)],
+            ["compress", "--scheme", "orthonormal", "--ratio", "0.5", "--seed", "-1"],
+            ["compress", "--scheme", "orthonormal", "--ratio", "0.5", "--seed", str(2**64)],
+            ["decompose", "--rank", "0"],
+            ["decompose", "--rank", "17"],
+            ["decompose", "--tucker-dims", "0", "4", "4"],
+            ["decompose", "--tucker-dims", "5", "4", "4"],
         ],
     )
     def test_out_of_range_settings_exit_2(self, tmp_path, argv, capsys):
@@ -354,6 +412,8 @@ class TestErrorPaths:
             argv = argv + ["--dims", "4", "4", "4", "--out", str(tmp_path / "x.tns")]
         else:
             argv = argv + ["--input", str(small)]
+        if argv[0] == "compress":
+            argv = argv + ["--out", str(tmp_path / "c.tns")]
         code, out, err = run(argv, capsys)
         assert code == 2
         assert "configuration error" in err

@@ -105,6 +105,13 @@ class TestCsvFormat:
         assert X.dims == (2, 3, 4)
         assert X[1, 2, 3] == -1.5
 
+    def test_dims_argument_must_match_dims_line(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_text("# dims: 2 2 2\n1,1,1,5.0\n")
+        with pytest.raises(FormatError, match=r"\(3, 3, 3\) differs .* \(2, 2, 2\)"):
+            read_tensor(path, dims=(3, 3, 3))
+        assert read_tensor(path, dims=(2, 2, 2)).dims == (2, 2, 2)
+
     def test_roundtrip(self, tmp_path, random_tensor):
         path = tmp_path / "x.csv"
         write_tensor(random_tensor, path)
