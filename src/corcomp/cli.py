@@ -15,6 +15,7 @@ and keeps its traceback.
 from __future__ import annotations
 
 import argparse
+import io
 import sys
 from pathlib import Path
 
@@ -50,7 +51,7 @@ def _add_fit_flags(p: argparse.ArgumentParser) -> None:
 def _add_input_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", required=True, help="tensor file to read")
     p.add_argument("--dims", type=int, nargs=3, metavar=("I", "J", "K"), default=None,
-                   help="dims for CSV inputs without a dims header")
+                   help="dims the input must have (needed by CSV files without a dims line)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -181,7 +182,9 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     if args.out_prefix:
         prefix = Path(args.out_prefix)
         for name, M in factors.items():
-            np.savetxt(prefix.parent / f"{prefix.name}_{name}.csv", M, delimiter=",")
+            buf = io.BytesIO()
+            np.savetxt(buf, M, delimiter=",")
+            _atomic_write(prefix.parent / f"{prefix.name}_{name}.csv", buf.getvalue())
         if core is not None:
             write_tensor(core, prefix.parent / f"{prefix.name}_core.tns")
     return 0

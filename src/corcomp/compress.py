@@ -67,16 +67,13 @@ class CompressionOperator:
     """Modewise compression matrices tagged with their construction.
 
     Orthonormal and Tucker operators must have orthonormal rows in every
-    mode; Gaussian operators deliberately do not.  ``seed`` records the
-    stream the random schemes were drawn from (None for Tucker, which is
-    a deterministic function of the tensor it was fitted to).
+    mode; Gaussian operators deliberately do not.
     """
 
     U: np.ndarray
     V: np.ndarray
     W: np.ndarray
     scheme: Scheme
-    seed: int | None = None
 
     def __post_init__(self) -> None:
         for name, M in zip("UVW", (self.U, self.V, self.W)):
@@ -153,7 +150,7 @@ def gaussian_operator(
     dims, target = _check_target(dims, target)
     rng = np.random.default_rng(seed)
     U, V, W = (rng.standard_normal((t, d)) for t, d in zip(target, dims))
-    return CompressionOperator(U=U, V=V, W=W, scheme=Scheme.GAUSSIAN, seed=int(seed))
+    return CompressionOperator(U=U, V=V, W=W, scheme=Scheme.GAUSSIAN)
 
 
 def orthonormal_operator(
@@ -173,9 +170,7 @@ def orthonormal_operator(
         G = rng.standard_normal((t, d))
         Q, _ = np.linalg.qr(G.T)
         mats.append(Q.T)
-    return CompressionOperator(
-        U=mats[0], V=mats[1], W=mats[2], scheme=Scheme.ORTHONORMAL, seed=int(seed)
-    )
+    return CompressionOperator(U=mats[0], V=mats[1], W=mats[2], scheme=Scheme.ORTHONORMAL)
 
 
 def tucker_operator(
@@ -187,9 +182,7 @@ def tucker_operator(
     core (same arithmetic, applied mode 1 then 2 then 3).
     """
     model = tucker3(X, target, cfg)
-    return CompressionOperator(
-        U=model.A.T, V=model.B.T, W=model.C.T, scheme=Scheme.TUCKER, seed=None
-    )
+    return CompressionOperator(U=model.A.T, V=model.B.T, W=model.C.T, scheme=Scheme.TUCKER)
 
 
 def compress(X: DenseTensor3, op: CompressionOperator) -> DenseTensor3:

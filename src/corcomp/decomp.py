@@ -73,11 +73,9 @@ class CpModel:
 
     ``fit`` is 1 minus the relative reconstruction error.  Column norms
     of A and B are absorbed into C during fitting, so A and B have
-    unit-norm columns (up to degenerate zero columns).
-    ``error_history`` records the relative reconstruction error after
-    each ALS sweep of the winning restart.  Each of these errors, and so
-    ``fit``, comes from the Gram identity, or from the explicit residual
-    where the identity falls below 1e-5 (see :func:`cp_als`).
+    unit-norm columns (up to degenerate zero columns).  ``fit`` comes
+    from the Gram identity, or from the explicit residual where the
+    identity falls below 1e-5 (see :func:`cp_als`).
     """
 
     A: np.ndarray
@@ -86,7 +84,6 @@ class CpModel:
     fit: float
     iterations: int
     converged: bool
-    error_history: tuple[float, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -222,9 +219,9 @@ def cp_als(X: DenseTensor3, R: int, cfg: FitConfig = FitConfig()) -> CpModel:
     uniform(-1, 1) entries, ``cfg.restarts`` times, and the best fit is
     returned.  Non-convergence within ``cfg.max_iterations`` is reported
     through ``converged=False``, not as an error.  The error behind the
-    stopping rule, ``error_history`` and ``fit`` comes from the Gram
-    identity, O(KR + R^2) per sweep; below 1e-5 it comes from the
-    explicit residual, a tensor-sized product.
+    stopping rule and ``fit`` comes from the Gram identity, O(KR + R^2)
+    per sweep; below 1e-5 it comes from the explicit residual, a
+    tensor-sized product.
 
     Raises ``ValueError`` for the all-zero tensor (no meaningful model
     exists and the core consistency of the result would be undefined).
@@ -286,8 +283,6 @@ def cp_als_batch(
     # A tensor listed more than once (a Tucker cell's samples) is unfolded once.
     unfolded = {id(X): [unfold(X, mode) for mode in (1, 2, 3)] for X in tensors}
     unfs = [[unfolded[id(X)][m] for X in tensors] for m in range(3)]
-    # Sized by the sweeps run, not by the cap, which may be huge.
-    history = np.empty((min(cfg.max_iterations, 64), members))
     live = np.arange(members)
     live_unfs, spans = _live_tensors(unfs, live, restarts)
     live_norms = np.repeat(norms, restarts)
@@ -301,24 +296,19 @@ def cp_als_batch(
             residual = C[k] @ kr3[k].T
             np.subtract(unfs[2][live[k] // restarts], residual, out=residual)
             err[k] = np.linalg.norm(residual) / live_norms[k]
-        if sweep == len(history):
-            history = np.concatenate((history, np.empty_like(history)))
-        history[sweep, live] = err
         converged = np.abs(prev_err - err) <= cfg.rel_tolerance
         prev_err = err
         done = converged | (sweep + 1 == cfg.max_iterations)
         if not done.any():
             continue
         for k in np.flatnonzero(done):
-            errors = tuple(history[: sweep + 1, live[k]].tolist())
             fits[live[k]] = CpModel(
                 A=A[k].copy(),
                 B=B[k].copy(),
                 C=C[k].copy(),
-                fit=1.0 - errors[-1],
+                fit=1.0 - float(err[k]),
                 iterations=sweep + 1,
                 converged=bool(converged[k]),
-                error_history=errors,
             )
         if done.all():
             break
@@ -414,25 +404,22 @@ def tucker3(
     )
 
 
-def pseudoinverse(M, tol: float | None = None) -> np.ndarray:
+def pseudoinverse(M) -> np.ndarray:
     """Moore-Penrose pseudoinverse via SVD.
 
-    Singular values at or below ``tol`` are treated as zero; the default
-    is ``max(rows, cols) * eps * largest_singular_value``, so the zero
-    matrix maps to the zero matrix of transposed shape.
+    Singular values at or below ``max(rows, cols) * eps *
+    largest_singular_value`` are treated as zero, so the zero matrix maps
+    to the zero matrix of transposed shape.
     """
-    return pseudoinverse_and_rank(M, tol)[0]
+    return pseudoinverse_and_rank(M)[0]
 
 
-def pseudoinverse_and_rank(M, tol: float | None = None) -> tuple[np.ndarray, int]:
+def pseudoinverse_and_rank(M) -> tuple[np.ndarray, int]:
     """:func:`pseudoinverse` and the number of singular values it kept,
-    the numerical rank of M at ``tol``, from one SVD."""
+    the numerical rank of M, from one SVD."""
     Mm = as_matrix(M, "M")
     U, s, Vt = np.linalg.svd(Mm, full_matrices=False)
-    if tol is None:
-        tol = max(Mm.shape) * np.finfo(np.float64).eps * (s[0] if s.size else 0.0)
-    elif not tol >= 0:
-        raise ValueError(f"tol must be >= 0, got {tol}")
+    tol = max(Mm.shape) * np.finfo(np.float64).eps * (s[0] if s.size else 0.0)
     inv = np.zeros_like(s)
     keep = s > tol
     inv[keep] = 1.0 / s[keep]

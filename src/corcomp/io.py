@@ -12,7 +12,7 @@ magic bytes and extension:
   ``I J K``, then one value per line in the same flat order.
 * CSV triplets (``.csv``): lines ``i,j,k,value`` with 1-based indices,
   unlisted entries zero.  Dims come from a ``# dims: I J K`` comment
-  line or the ``dims`` argument; when both are given they must agree.
+  line, else from the ``dims`` argument, which must match any file's dims.
 
 All writes go through a temporary file in the target directory followed
 by an atomic rename.
@@ -145,18 +145,24 @@ def write_tensor(X: DenseTensor3, path: str | Path) -> None:
 def read_tensor(path: str | Path, dims: tuple[int, int, int] | None = None) -> DenseTensor3:
     """Read a tensor file (format auto-detected; see module docstring).
 
-    ``dims`` gives the dims of a CSV file without a ``# dims:`` line.  When
-    a CSV file has that line, ``dims`` may only repeat it.
+    ``dims`` gives the dims of a CSV file without a ``# dims:`` line; a
+    file that states its dims must state the same ones.
     """
     path = Path(path)
     raw = path.read_bytes()
     if raw[:4] == MAGIC:
-        return _read_binary(raw, path)
-    if path.suffix.lower() in (".tns", ".bin"):
+        X = _read_binary(raw, path)
+    elif path.suffix.lower() in (".tns", ".bin"):
         raise FormatError(f"{path}: bad magic bytes {raw[:4]!r} (expected {MAGIC!r})")
-    if path.suffix.lower() == ".csv":
-        return _read_csv(raw.decode(), path, dims)
-    return _read_text(raw.decode(), path)
+    elif path.suffix.lower() == ".csv":
+        X = _read_csv(raw.decode(), path, dims)
+    else:
+        X = _read_text(raw.decode(), path)
+    if dims is not None and tuple(dims) != X.dims:
+        raise FormatError(
+            f"{path}: dims argument {tuple(dims)} differs from the file's dims {X.dims}"
+        )
+    return X
 
 
 def _read_binary(raw: bytes, path: Path) -> DenseTensor3:
@@ -241,11 +247,7 @@ def _read_csv(
         if not np.isfinite(v):
             raise FormatError(f"{path}:{lineno}: non-finite value {parts[3]!r}")
         entries.append((i, j, k, v, lineno))
-    if dims is not None and header_dims is not None and tuple(dims) != header_dims:
-        raise FormatError(
-            f"{path}: dims argument {tuple(dims)} differs from the file's dims line {header_dims}"
-        )
-    use_dims = dims if dims is not None else header_dims
+    use_dims = header_dims if header_dims is not None else dims
     if use_dims is None:
         raise FormatError(
             f"{path}: CSV input needs dims via a '# dims: I J K' line or the dims argument"

@@ -134,7 +134,7 @@ def cp_als_loop_oracle(X, R: int, cfg):
                 break
             prev_err = err
         model = CpModel(A=A, B=B, C=C, fit=1.0 - history[-1], iterations=len(history),
-                        converged=converged, error_history=tuple(history))
+                        converged=converged)
         if best is None or model.fit > best.fit:
             best = model
     return best

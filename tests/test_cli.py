@@ -138,6 +138,36 @@ class TestDecomposeCommand:
         core = read_tensor(tmp_path / "tk_core.tns")
         assert core.dims == (3, 3, 3)
 
+    def test_failed_factor_write_keeps_the_old_file(
+        self, exact_tensor_file, tmp_path, monkeypatch, capsys
+    ):
+        old = tmp_path / "fit_A.csv"
+        old.write_text("old\n")
+
+        def no_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", no_replace)
+        code, _, err = run(
+            ["decompose", "--input", str(exact_tensor_file), "--rank", "3",
+             "--restarts", "2", "--out-prefix", str(tmp_path / "fit")],
+            capsys,
+        )
+        assert code == 1
+        assert "disk full" in err
+        assert old.read_text() == "old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fit_A.csv", "x.tns"]
+
+    def test_dims_that_contradict_the_file_exit_1(self, exact_tensor_file, capsys):
+        code, out, err = run(
+            ["decompose", "--input", str(exact_tensor_file), "--dims", "3", "3", "3",
+             "--rank", "2"],
+            capsys,
+        )
+        assert code == 1
+        assert "(3, 3, 3) differs from the file's dims (20, 15, 8)" in err
+        assert out == ""
+
 
 class TestExperimentCommand:
     BASE = ["experiment", "--rank", "3", "--schemes", "gaussian", "orthonormal", "tucker",

@@ -143,6 +143,15 @@ class TestCsvFormat:
             read_tensor(path)
 
 
+@pytest.mark.parametrize("name", ["x.tns", "x.txt", "x.csv"])
+def test_dims_argument_must_match_the_file(tmp_path, random_tensor, name):
+    path = tmp_path / name
+    write_tensor(random_tensor, path)
+    with pytest.raises(FormatError, match=r"\(4, 4, 5\) differs .* \(3, 4, 5\)"):
+        read_tensor(path, dims=(4, 4, 5))
+    assert np.array_equal(read_tensor(path, dims=(3, 4, 5)).data, random_tensor.data)
+
+
 class TestSynth:
     def test_noiseless_rank3_scores_100(self):
         X = synth_tensor(SynthSpec(dims=(20, 15, 8), rank=3, noise_level=0.0, seed=3))
