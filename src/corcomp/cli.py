@@ -195,6 +195,9 @@ def _cmd_corcondia(args: argparse.Namespace) -> int:
     reports = corcondia_sweep(X, args.ranks, _fit_config(args, seed=args.seed))
     for rank, report in zip(args.ranks, reports):
         print(f"{rank}\t{report.value:.6f}")
+        if report.factor_rank_deficient:
+            print(f"corcomp: warning: rank {rank} is factor rank deficient "
+                  f"(a fitted factor has numerical rank below {rank})", file=sys.stderr)
     return 0
 
 

@@ -23,11 +23,11 @@ from .seeding import check_seed
 from .tensor import (
     DenseTensor3,
     _check_target,
+    _mode_product,
+    _unfold,
     as_matrix,
     frobenius_norm,
-    n_mode_product,
     reconstruct_tucker,
-    unfold,
 )
 
 __all__ = [
@@ -121,72 +121,93 @@ def _solve_one(gram: np.ndarray, rhs_t: np.ndarray) -> np.ndarray:
         return np.linalg.pinv(gram) @ rhs_t
 
 
-def _solve_factors(
-    unfs: list[np.ndarray], spans: list[slice], kr: np.ndarray, gram: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Least-squares update of one factor for every member.
-
-    ``unfs[t]`` is the unfolding of the t-th live tensor and ``spans[t]``
-    the members fitting it; the unfolding multiplies all of their
-    Khatri-Rao products in one stacked product.  The normal equations are
-    solved as one batch.  When any member's Gram matrix is singular the
-    batch is redone member by member, and only the failing members take
-    the pseudoinverse.  Returns the factors, ``(M, d, R)``, and the
-    right-hand sides ``unf @ kr``.
-    """
-    rhs = np.empty(kr.shape[:-2] + (unfs[0].shape[0], kr.shape[-1]))
-    for unf, span in zip(unfs, spans):
-        np.matmul(unf, kr[span], out=rhs[span])
+def _solve(rhs: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """Least-squares update of one factor for every member from its
+    right-hand side and Gram product.  The normal equations are solved as
+    one batch.  When any member's Gram matrix is singular the batch is
+    redone member by member, and only the failing members take the
+    pseudoinverse."""
     rhs_t = rhs.swapaxes(-1, -2)
     try:
         solved = np.linalg.solve(gram, rhs_t)
     except np.linalg.LinAlgError:
         solved = np.stack([_solve_one(g, b) for g, b in zip(gram, rhs_t)])
-    return solved.swapaxes(-1, -2), rhs
+    return solved.swapaxes(-1, -2)
 
 
-def _absorb_norms(F: np.ndarray, C: np.ndarray) -> None:
-    """Normalize F's columns in place, absorbing their norms into C."""
+def _stacked_products(mats: list[np.ndarray], spans: list[slice], F: np.ndarray) -> np.ndarray:
+    """``mats[t] @ F[m]`` for every member m of ``spans[t]``, the members
+    fitting the t-th live tensor, in one stacked product per tensor."""
+    out = np.empty(F.shape[:-2] + (mats[0].shape[0], F.shape[-1]))
+    for mat, span in zip(mats, spans):
+        np.matmul(mat, F[span], out=out[span])
+    return out
+
+
+def _absorb_norms(F: np.ndarray, *scaled: np.ndarray) -> None:
+    """Normalize F's columns in place, absorbing their norms into each of
+    ``scaled`` (C, and the partial product that follows C)."""
     # The same reduction np.linalg.norm(F, axis=-2) makes, without its overhead.
     norms = np.sqrt(np.add.reduce(F * F, axis=-2))[..., None, :]
     ok = norms > np.finfo(np.float64).tiny
     np.divide(F, norms, out=F, where=ok)
-    np.multiply(C, norms, out=C, where=ok)
+    for S in scaled:
+        np.multiply(S, norms, out=S, where=ok)
 
 
-def _als_sweep(unfs, spans, A, B, C):
-    """One ALS sweep of every member; returns the new factors and what the
-    residual is taken with: the mode-3 Khatri-Rao product, right-hand side
-    ``X_(3) @ kr3`` and Gram product of C's update."""
-    A, _ = _solve_factors(unfs[0], spans, _khatri_rao(C, B), _gram(C) * _gram(B))
-    _absorb_norms(A, C)
-    gram_a = _gram(A)
-    B, _ = _solve_factors(unfs[1], spans, _khatri_rao(C, A), _gram(C) * gram_a)
-    _absorb_norms(B, C)
-    kr3 = _khatri_rao(B, A)
-    gram_ab = _gram(B) * gram_a
-    C, rhs3 = _solve_factors(unfs[2], spans, kr3, gram_ab)
-    return A, B, C, kr3, rhs3, gram_ab
+def _als_sweep(mats, spans, F, G, Z, n):
+    """One ALS sweep of every member: A, B and C updated in turn in the
+    list F, and their Gram matrices in G.
+
+    The largest mode, index n, takes its right-hand side from the tensor
+    and the Khatri-Rao product of the two other factors.  Its new factor
+    then gives the partial product ``Z = X x_n F[n]^T``, ``(M, d_o1 *
+    d_o2, R)`` with the two other modes in increasing order, and each of
+    those modes' right-hand side contracts Z with the other's factor.
+    Unless n is mode 1, Z carries over into the next sweep.  Returns Z
+    and what the residual is taken with: the mode-3 right-hand side and
+    the Gram product of C's update."""
+    o1, o2 = (m for m in range(3) if m != n)
+    for mode in range(3):
+        a, b = (m for m in range(3) if m != mode)
+        gram = G[a] * G[b]
+        if mode == n:
+            rhs = _stacked_products(mats, spans, _khatri_rao(F[a], F[b]))
+        else:
+            Z4 = Z.reshape(len(Z), F[o1].shape[-2], F[o2].shape[-2], -1)
+            if mode == o1:
+                rhs = np.einsum("mpqr,mqr->mpr", Z4, F[o2])
+            else:
+                rhs = np.einsum("mpqr,mpr->mqr", Z4, F[o1])
+        F[mode] = _solve(rhs, gram)
+        if mode < 2:  # Z = X x3 C^T follows every rescaling of C
+            _absorb_norms(F[mode], *([F[2], Z] if n == 2 else [F[2]]))
+        G[mode] = _gram(F[mode])
+        if mode == 0:  # B's update reads C rescaled by A's norms
+            G[2] = _gram(F[2])
+        if mode == n:
+            Z = _stacked_products([mat.T for mat in mats], spans, F[n])
+    return Z, rhs, gram
 
 
-def _identity_norms(norms, rhs3, C, gram_ab) -> np.ndarray:
+def _identity_norms(norms, rhs3, C, gram_ab, gram_c) -> np.ndarray:
     """Residual norm of every member from the Gram identity
-    ``||X||^2 - 2<X_(3) kr3, C> + sum(G_AB * G_C)``, each sum an
+    ``||X||^2 - 2<M3, C> + sum(G_AB * G_C)``, where M3 is the mode-3
+    right-hand side, ``X_(3) (B kr A)`` in exact arithmetic; each sum is an
     ``np.add.reduce`` over the row-major flattened elementwise product."""
     cross = np.add.reduce((rhs3 * C).reshape(len(C), -1), axis=-1)
-    model = np.add.reduce((gram_ab * _gram(C)).reshape(len(C), -1), axis=-1)
+    model = np.add.reduce((gram_ab * gram_c).reshape(len(C), -1), axis=-1)
     return np.sqrt(np.maximum(norms * norms - 2.0 * cross + model, 0.0))
 
 
-def _live_tensors(unfs, live: np.ndarray, restarts: int):
-    """Unfoldings of the tensors with live members, and the contiguous
-    run of live members that fits each."""
+def _live_tensors(mats, live: np.ndarray, restarts: int):
+    """Matrices of the tensors with live members, and the contiguous run
+    of live members that fits each."""
     owners = live // restarts
     starts = np.flatnonzero(np.r_[True, owners[1:] != owners[:-1]])
     ends = np.r_[starts[1:], len(owners)]
-    tensor_ids = owners[starts].tolist()
     spans = [slice(a, b) for a, b in zip(starts.tolist(), ends.tolist())]
-    return [[u[t] for t in tensor_ids] for u in unfs], spans
+    return [mats[t] for t in owners[starts].tolist()], spans
 
 
 # Below this relative error the Gram identity is mostly cancellation noise,
@@ -213,15 +234,18 @@ def check_cp_rank(rank: int, dims: tuple[int, int, int]) -> None:
 def cp_als(X: DenseTensor3, R: int, cfg: FitConfig = FitConfig()) -> CpModel:
     """Fit an R-component CP model by alternating least squares.
 
-    Each sweep solves the three linear least-squares problems over the
-    mode unfoldings in turn; the reconstruction error is therefore
-    nonincreasing from sweep to sweep.  Factors are initialized with
-    uniform(-1, 1) entries, ``cfg.restarts`` times, and the best fit is
-    returned.  Non-convergence within ``cfg.max_iterations`` is reported
-    through ``converged=False``, not as an error.  The error behind the
-    stopping rule and ``fit`` comes from the Gram identity, O(KR + R^2)
-    per sweep; below 1e-5 it comes from the explicit residual, a
-    tensor-sized product.
+    Each sweep solves the three linear least-squares problems for A, B
+    and C in turn; the reconstruction error is therefore nonincreasing
+    from sweep to sweep.  Their right-hand sides take two tensor-sized
+    products per sweep, both along the largest mode: one with the
+    Khatri-Rao product of the two other factors, and one with that
+    mode's factor alone, whose result serves the two other modes.
+    Factors are initialized with uniform(-1, 1) entries, ``cfg.restarts``
+    times, and the best fit is returned.  Non-convergence within
+    ``cfg.max_iterations`` is reported through ``converged=False``, not
+    as an error.  The error behind the stopping rule and ``fit`` comes
+    from the Gram identity, O(KR + R^2) per sweep; below 1e-5 it comes
+    from the explicit residual, a tensor-sized product.
 
     Raises ``ValueError`` for the all-zero tensor (no meaningful model
     exists and the core consistency of the result would be undefined).
@@ -242,8 +266,9 @@ def cp_als_batch(
     where its own error change drops below ``cfg.rel_tolerance``, and the
     first restart with the strictly best fit wins.  Every restart of every
     tensor is one member of stacked factor arrays, so a sweep costs a few
-    dozen numpy calls for the whole batch plus four per tensor, instead
-    of a few dozen per member.  Members leave the stacks as they finish.
+    dozen numpy calls for the whole batch plus its two tensor-sized
+    products per tensor, instead of a few dozen per member.  Members
+    leave the stacks as they finish.
 
     Raises ``ShapeError`` when the tensors' dims differ and ``ValueError``
     naming the index of an all-zero tensor.
@@ -273,28 +298,37 @@ def cp_als_batch(
 
     restarts = cfg.restarts
     members = len(tensors) * restarts
-    A, B, C = (np.empty((members, d, R)) for d in dims)
+    F = [np.empty((members, d, R)) for d in dims]
     for m in range(members):
         t, restart = divmod(m, restarts)
         rng = np.random.default_rng(np.random.SeedSequence((seeds[t], restart)))
-        for F, d in zip((A, B, C), dims):
-            F[m] = rng.uniform(-1.0, 1.0, (d, R))
+        for factor, d in zip(F, dims):
+            factor[m] = rng.uniform(-1.0, 1.0, (d, R))
 
-    # A tensor listed more than once (a Tucker cell's samples) is unfolded once.
-    unfolded = {id(X): [unfold(X, mode) for mode in (1, 2, 3)] for X in tensors}
-    unfs = [[unfolded[id(X)][m] for X in tensors] for m in range(3)]
+    # The largest mode's matrix, columns ordered as the Khatri-Rao product
+    # of the two other factors: a free view of a C-ordered tensor whose
+    # first mode is the largest, else one copy per distinct tensor (a
+    # Tucker cell lists its tensor once per sample).
+    n = dims.index(max(dims))
+    moved = {id(X): np.moveaxis(X.data, n, 0).reshape(dims[n], -1) for X in tensors}
+    mats = [moved[id(X)] for X in tensors]
     live = np.arange(members)
-    live_unfs, spans = _live_tensors(unfs, live, restarts)
+    live_mats, spans = _live_tensors(mats, live, restarts)
+    G = [_gram(factor) for factor in F]
+    Z = None if n == 0 else _stacked_products([m.T for m in live_mats], spans, F[n])
     live_norms = np.repeat(norms, restarts)
     prev_err = np.full(members, np.inf)
     fits: list[CpModel] = [None] * members  # type: ignore[list-item]
     for sweep in range(cfg.max_iterations):
-        A, B, C, kr3, rhs3, gram_ab = _als_sweep(live_unfs, spans, A, B, C)
-        err = _identity_norms(live_norms, rhs3, C, gram_ab) / live_norms
+        Z, rhs3, gram_ab = _als_sweep(live_mats, spans, F, G, Z, n)
+        A, B, C = F
+        err = _identity_norms(live_norms, rhs3, C, gram_ab, G[2]) / live_norms
         for k in np.flatnonzero(err < _EXPLICIT_RESIDUAL_BELOW):
-            # ||X_(3) - C kr3^T||, the product overwritten by the residual.
-            residual = C[k] @ kr3[k].T
-            np.subtract(unfs[2][live[k] // restarts], residual, out=residual)
+            # ||X_(1) - A (B kr C)^T|| on the mode-1 view, the product
+            # overwritten by the residual.
+            residual = A[k] @ _khatri_rao(B[k], C[k]).T
+            X1 = tensors[live[k] // restarts].data.reshape(dims[0], -1)
+            np.subtract(X1, residual, out=residual)
             err[k] = np.linalg.norm(residual) / live_norms[k]
         converged = np.abs(prev_err - err) <= cfg.rel_tolerance
         prev_err = err
@@ -313,9 +347,9 @@ def cp_als_batch(
         if done.all():
             break
         keep = ~done
-        A, B, C = A[keep], B[keep], C[keep]
+        F, G, Z = [f[keep] for f in F], [g[keep] for g in G], Z[keep]
         live, live_norms, prev_err = live[keep], live_norms[keep], prev_err[keep]
-        live_unfs, spans = _live_tensors(unfs, live, restarts)
+        live_mats, spans = _live_tensors(mats, live, restarts)
 
     # max keeps the first of equally good restarts: the strict ">" rule.
     return [
@@ -366,24 +400,29 @@ def tucker3(
     _, target = _check_target(X.dims, target)
 
     norm_x = frobenius_norm(X)
-    factors = [_leading_singular_vectors(unfold(X, m), target[m - 1]) for m in (1, 2, 3)]
-    core = DenseTensor3(np.zeros(target))  # the core of the all-zero tensor
+    # The products run on raw arrays: X is finite, and so is every product.
+    data = X.data
+    factors = [_leading_singular_vectors(_unfold(data, m), target[m - 1]) for m in (1, 2, 3)]
+    core = np.zeros(target)  # the core of the all-zero tensor
     iterations = 0
     converged = norm_x == 0.0
     prev_err = np.inf
     while iterations < cfg.max_iterations and not converged:
         iterations += 1
-        for m in (1, 2, 3):
-            Y = X
-            for other in (1, 2, 3):
-                if other != m:
-                    Y = n_mode_product(Y, factors[other - 1].T, other)
-            factors[m - 1] = _leading_singular_vectors(unfold(Y, m), target[m - 1])
+        Y = _mode_product(_mode_product(data, factors[1].T, 2), factors[2].T, 3)
+        factors[0] = _leading_singular_vectors(_unfold(Y, 1), target[0])
+        # Y = X x1 A^T serves both the mode-2 and the mode-3 step.
+        Y = _mode_product(data, factors[0].T, 1)
+        factors[1] = _leading_singular_vectors(
+            _unfold(_mode_product(Y, factors[2].T, 3), 2), target[1]
+        )
+        Y = _mode_product(Y, factors[1].T, 2)
+        factors[2] = _leading_singular_vectors(_unfold(Y, 3), target[2])
         # Y = X x1 A^T x2 B^T, so this is the core of the current factors.
-        core = n_mode_product(Y, factors[2].T, 3)
+        core = _mode_product(Y, factors[2].T, 3)
         # With orthonormal factors the residual satisfies
         # ||X - rec||^2 = ||X||^2 - ||core||^2; cheap enough per sweep.
-        core_norm = frobenius_norm(core)
+        core_norm = float(np.linalg.norm(core.ravel()))
         err = float(np.sqrt(max(norm_x**2 - core_norm**2, 0.0))) / norm_x
         if abs(prev_err - err) <= cfg.rel_tolerance:
             converged = True
@@ -391,6 +430,7 @@ def tucker3(
 
     # Final fit from the explicit residual; the cancellation-prone norm
     # identity above is only used for the stopping rule.
+    core = DenseTensor3(core)
     rec = reconstruct_tucker(core, *factors)
     fit = 1.0 - float(np.linalg.norm(X.data - rec.data)) / norm_x if norm_x > 0 else 1.0
     return TuckerModel(

@@ -132,8 +132,13 @@ def unfold(X: DenseTensor3, mode: int) -> np.ndarray:
     varying fastest (see the layout contract in the module docstring).
     """
     _check_mode(mode)
-    moved = np.moveaxis(X.data, mode - 1, 0)
-    return moved.reshape((X.dims[mode - 1], -1), order="F")
+    return _unfold(X.data, mode)
+
+
+def _unfold(data: np.ndarray, mode: int) -> np.ndarray:
+    """:func:`unfold` of a raw ``(I, J, K)`` array."""
+    moved = np.moveaxis(data, mode - 1, 0)
+    return moved.reshape((data.shape[mode - 1], -1), order="F")
 
 
 def fold(M, mode: int, dims: tuple[int, int, int]) -> DenseTensor3:
@@ -164,8 +169,13 @@ def n_mode_product(X: DenseTensor3, Z, mode: int) -> DenseTensor3:
             f"mode-{mode} product mismatch: Z has shape {Zm.shape} but tensor "
             f"dims are {X.dims}"
         )
-    out = np.tensordot(Zm, X.data, axes=(1, mode - 1))
-    return DenseTensor3(np.moveaxis(out, 0, mode - 1))
+    return DenseTensor3(_mode_product(X.data, Zm, mode))
+
+
+def _mode_product(data: np.ndarray, Z: np.ndarray, mode: int) -> np.ndarray:
+    """:func:`n_mode_product` of a raw array and matrix, unchecked; the
+    result is a view of the product, which is not copied."""
+    return np.moveaxis(np.tensordot(Z, data, axes=(1, mode - 1)), 0, mode - 1)
 
 
 def frobenius_norm(X: DenseTensor3) -> float:

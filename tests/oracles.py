@@ -82,52 +82,72 @@ def leading_left_singular_vectors_oracle(M: np.ndarray, k: int) -> np.ndarray:
 def cp_als_loop_oracle(X, R: int, cfg):
     """CP-ALS one restart at a time with 2-D numpy calls: the sequential
     loop that ``cp_als_batch`` stacks.  The arithmetic is the same, so the
-    batched engine must reproduce its models bit for bit.  Each sweep's
-    relative error comes from the Gram identity
-    ``||X||^2 - 2<X_(3) kr3, C> + sum(G_AB * G_C)``, and from the explicit
-    residual where that falls below the library's guard."""
-    from corcomp import CpModel, frobenius_norm, unfold
+    batched engine must reproduce its models bit for bit.
+
+    Mode n, the largest (the first on ties), takes its right-hand side
+    from the moved tensor and the Khatri-Rao product of the two other
+    factors.  Right after it, ``Z = X x_n F_n^T`` gives the two other
+    modes' right-hand sides, each by contracting one small mode.  Each
+    sweep's relative error comes from the Gram identity
+    ``||X||^2 - 2<M3, C> + sum(G_AB * G_C)``, M3 being the mode-3
+    right-hand side, and from the explicit residual on the mode-1 view
+    where that falls below the library's guard."""
+    from corcomp import CpModel, frobenius_norm
     from corcomp.decomp import _EXPLICIT_RESIDUAL_BELOW as guard
 
     def khatri_rao(P, Q):
         return (P[:, None, :] * Q[None, :, :]).reshape(-1, P.shape[1])
 
-    def solve(unf, kr, gram):
-        rhs = unf @ kr
+    def solve(rhs, gram):
         try:
-            return np.linalg.solve(gram, rhs.T).T, rhs
+            return np.linalg.solve(gram, rhs.T).T
         except np.linalg.LinAlgError:
-            return (np.linalg.pinv(gram) @ rhs.T).T, rhs
+            return (np.linalg.pinv(gram) @ rhs.T).T
 
-    def absorb_norms(F, C):
+    def absorb_norms(F, *scaled):
         norms = np.linalg.norm(F, axis=0)
         ok = norms > np.finfo(np.float64).tiny
         F[:, ok] /= norms[ok]
-        C[:, ok] *= norms[ok]
+        for S in scaled:
+            S[..., ok] *= norms[ok]
 
+    dims = X.dims
+    n = dims.index(max(dims))
+    o1, o2 = (m for m in range(3) if m != n)
+    Xn = np.moveaxis(X.data, n, 0).reshape(dims[n], -1)
+    X1 = X.data.reshape(dims[0], -1)
     norm_x = frobenius_norm(X)
-    unfs = [unfold(X, m) for m in (1, 2, 3)]
     best = None
     for restart in range(cfg.restarts):
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, restart)))
-        A, B, C = (rng.uniform(-1.0, 1.0, (d, R)) for d in X.dims)
+        F = [rng.uniform(-1.0, 1.0, (d, R)) for d in dims]
+        Z = Xn.T @ F[n]
         history = []
         converged = False
         prev_err = np.inf
         for _ in range(cfg.max_iterations):
-            A, _ = solve(unfs[0], khatri_rao(C, B), (C.T @ C) * (B.T @ B))
-            absorb_norms(A, C)
-            B, _ = solve(unfs[1], khatri_rao(C, A), (C.T @ C) * (A.T @ A))
-            absorb_norms(B, C)
-            kr3 = khatri_rao(B, A)
-            gram_ab = (B.T @ B) * (A.T @ A)
-            C, m3 = solve(unfs[2], kr3, gram_ab)
+            for mode in range(3):
+                a, b = (m for m in range(3) if m != mode)
+                gram = (F[a].T @ F[a]) * (F[b].T @ F[b])
+                Z3 = Z.reshape(dims[o1], dims[o2], R)
+                if mode == n:
+                    rhs = Xn @ khatri_rao(F[a], F[b])
+                elif mode == o1:
+                    rhs = np.einsum("pqr,qr->pr", Z3, F[o2])
+                else:
+                    rhs = np.einsum("pqr,pr->qr", Z3, F[o1])
+                F[mode] = solve(rhs, gram)
+                if mode < 2:
+                    absorb_norms(F[mode], *([F[2], Z] if n == 2 else [F[2]]))
+                if mode == n:
+                    Z = Xn.T @ F[n]
+            A, B, C = F
             # The Gram identity, and the explicit residual below the guard.
-            cross = np.add.reduce((m3 * C).ravel())
-            model = np.add.reduce((gram_ab * (C.T @ C)).ravel())
+            cross = np.add.reduce((rhs * C).ravel())
+            model = np.add.reduce((gram * (C.T @ C)).ravel())
             err = float(np.sqrt(max(norm_x * norm_x - 2.0 * cross + model, 0.0))) / norm_x
             if err < guard:
-                err = float(np.linalg.norm(unfs[2] - C @ kr3.T)) / norm_x
+                err = float(np.linalg.norm(X1 - A @ khatri_rao(B, C).T)) / norm_x
             history.append(err)
             if abs(prev_err - err) <= cfg.rel_tolerance:
                 converged = True

@@ -71,6 +71,21 @@ class TestSynthAndCorcondia:
         assert [ln.split("\t")[0] for ln in lines] == ["1", "2", "3"]
 
 
+    def test_rank_deficient_fits_flagged_on_stderr(self, tmp_path, capsys):
+        # A 2-row factor has rank at most 2, so the rank-3 fit is deficient.
+        path = tmp_path / "thin.tns"
+        run(["synth", "--dims", "8", "6", "2", "--rank", "2", "--noise", "0.05",
+             "--seed", "4", "--out", str(path)], capsys)
+        code, out, err = run(["corcondia", "--input", str(path), "--ranks", "1", "2", "3"],
+                             capsys)
+        assert code == 0
+        assert [ln.split("\t")[0] for ln in out.splitlines()] == ["1", "2", "3"]
+        assert err.splitlines() == [
+            "corcomp: warning: rank 3 is factor rank deficient "
+            "(a fitted factor has numerical rank below 3)"
+        ]
+
+
 class TestCompressCommand:
     def test_half_ratio_dims(self, tmp_path, capsys):
         src = tmp_path / "x.tns"

@@ -1,4 +1,5 @@
 from dataclasses import replace
+import itertools
 
 import numpy as np
 import pytest
@@ -132,10 +133,13 @@ class TestCpAlsBatch:
         rng = np.random.default_rng(46)
         noisy = X.data + 0.1 * rng.standard_normal(X.dims)
         op = orthonormal_operator(X.dims, (6, 4, 5), seed=47)
+        # Transposes put the largest mode second and third.
         tensors = [
             compress(DenseTensor3(noisy), op),
             DenseTensor3(noisy),
             DenseTensor3.from_flat(noisy.ravel(order="F"), X.dims),
+            DenseTensor3(noisy.transpose(1, 0, 2)),
+            DenseTensor3(noisy.transpose(2, 1, 0)),
         ]
         for R in (1, 3):
             for Xt in tensors:
@@ -191,6 +195,47 @@ class TestCpAlsBatch:
         assert_same_model(model, cp_als_loop_oracle(X, 2, TIGHT))
         # The identity alone gives 0 here; the stored fit is the explicit one.
         assert abs(cp_fit_oracle(X.data, model.A, model.B, model.C) - model.fit) <= 1e-14
+
+    @pytest.mark.parametrize("shape", [(7, 5, 4), (4, 7, 5), (4, 5, 7), (6, 6, 3)])
+    def test_right_hand_sides_are_the_mttkrp(self, monkeypatch, shape):
+        # Every solve's right-hand side against the MTTKRP definition,
+        # X_(n) times the Khatri-Rao product of the two other factors as
+        # they stand when the solve runs, over three sweeps.
+        rng = np.random.default_rng(50)
+        tensors = [DenseTensor3(rng.standard_normal(shape)) for _ in range(2)]
+        data = np.stack([X.data for X in tensors])
+        specs = ("mijk,mjr,mkr->mir", "mijk,mir,mkr->mjr", "mijk,mir,mjr->mkr")
+        real_sweep, real_solve = decomp._als_sweep, decomp._solve
+        state, errors = {}, []
+
+        def sweep(mats, spans, F, G, Z, n):
+            state["F"], state["calls"] = F, 0
+            return real_sweep(mats, spans, F, G, Z, n)
+
+        def solve(rhs, gram):
+            mode = state["calls"]
+            state["calls"] += 1
+            a, b = (m for m in range(3) if m != mode)
+            X = np.repeat(data, len(rhs) // len(data), axis=0)
+            want = np.einsum(specs[mode], X, state["F"][a], state["F"][b])
+            errors.append(np.linalg.norm(rhs - want) / np.linalg.norm(want))
+            return real_solve(rhs, gram)
+
+        monkeypatch.setattr(decomp, "_als_sweep", sweep)
+        monkeypatch.setattr(decomp, "_solve", solve)
+        cp_als_batch(tensors, 3, FitConfig(max_iterations=3, restarts=2), [0, 1])
+        assert len(errors) == 9
+        assert max(errors) <= 1e-12
+
+    def test_mode_order_does_not_change_the_fit(self):
+        # Each order puts the largest mode elsewhere; the optimum is one.
+        rng = np.random.default_rng(51)
+        A, B, C = (np.linalg.qr(rng.standard_normal((d, 3)))[0] for d in (10, 7, 5))
+        X = reconstruct_cp(A * [3.0, 2.0, 1.5], B, C).data
+        X = X + 0.05 * np.linalg.norm(X) / np.sqrt(X.size) * rng.standard_normal(X.shape)
+        fits = [cp_als(DenseTensor3(X.transpose(p)), 3, TIGHT).fit
+                for p in itertools.permutations(range(3))]
+        assert max(fits) - min(fits) <= 1e-10
 
     def test_mixed_dims_rejected(self):
         rng = np.random.default_rng(43)
