@@ -1,10 +1,10 @@
 """Command-line interface.
 
-Subcommands: ``synth`` (generate a synthetic tensor file), ``decompose``
-(fit a CP or Tucker model and emit its factors), ``corcondia`` (core
-consistency table over a list of component counts), ``compress`` (apply
-one compression operator), and ``experiment`` (the full Monte Carlo
-grid, emitting a JSON result and a per-cell statistics CSV).
+Subcommands: ``synth`` (generate a synthetic tensor file), ``corcondia``
+(core consistency table over a list of component counts), ``experiment``
+(the full Monte Carlo grid, emitting a JSON result and a per-cell
+statistics CSV), and ``sample`` (rerun one sample of that grid bit for
+bit, optionally writing its compressed tensor and CP factors).
 
 All randomness flows from ``--seed``.  Exit codes: 0 on success, 2 for
 usage or infeasible-configuration errors, 1 for bad input and for a
@@ -22,11 +22,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .compress import DEFAULT_MODES, RatioSpec, Scheme, compress, ratio_to_dims
+from .compress import DEFAULT_MODES, Scheme
 from .corcondia import corcondia_sweep
-from .decomp import FitConfig, check_cp_rank, cp_als, tucker3
+from .decomp import FitConfig
 from .errors import ConfigError, FormatError, ShapeError, StepError
-from .harness import ExperimentConfig, make_operator, run_experiment
+from .harness import ExperimentConfig, run_experiment, run_sample
 from .io import (
     SynthSpec,
     _atomic_write,
@@ -36,7 +36,6 @@ from .io import (
     synth_tensor,
     write_tensor,
 )
-from .tensor import _check_target
 
 
 def _add_fit_flags(p: argparse.ArgumentParser) -> None:
@@ -52,6 +51,16 @@ def _add_input_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", required=True, help="tensor file to read")
     p.add_argument("--dims", type=int, nargs=3, metavar=("I", "J", "K"), default=None,
                    help="dims the input must have (needed by CSV files without a dims line)")
+
+
+def _add_grid_flags(p: argparse.ArgumentParser, grid: ExperimentConfig) -> None:
+    p.add_argument("--rank", type=int, default=grid.rank,
+                   help="CP components fitted per sample (default %(default)s)")
+    p.add_argument("--modes", type=int, nargs="+", default=DEFAULT_MODES,
+                   help="modes the ratios apply to (default %(default)s)")
+    p.add_argument("--seed", type=int, default=grid.master_seed,
+                   help="master seed (default %(default)s)")
+    _add_fit_flags(p)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -75,19 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output tensor file")
     p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser("decompose", help="fit a CP or Tucker model and emit factors")
-    _add_input_flags(p)
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--rank", type=int, help="CP component count")
-    group.add_argument("--tucker-dims", type=int, nargs=3, metavar=("P", "Q", "R"),
-                       dest="tucker_dims", help="Tucker core dims")
-    _add_fit_flags(p)
-    p.add_argument("--seed", type=int, default=FitConfig.seed)
-    p.add_argument("--out-prefix", dest="out_prefix", default=None,
-                   help="write factors to PREFIX_A.csv, PREFIX_B.csv, PREFIX_C.csv "
-                        "(and PREFIX_core.tns for Tucker)")
-    p.set_defaults(func=_cmd_decompose)
-
     p = sub.add_parser("corcondia", help="core consistency table over component counts")
     _add_input_flags(p)
     p.add_argument("--ranks", type=int, nargs="+", required=True)
@@ -95,25 +91,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=FitConfig.seed)
     p.set_defaults(func=_cmd_corcondia)
 
-    p = sub.add_parser("compress", help="compress a tensor with one operator draw")
-    _add_input_flags(p)
-    p.add_argument("--scheme", choices=[s.value for s in Scheme], required=True)
-    p.add_argument("--ratio", type=float, required=True)
-    p.add_argument("--modes", type=int, nargs="+", default=DEFAULT_MODES,
-                   help="modes the ratio applies to (default %(default)s)")
-    p.add_argument("--seed", type=int, default=FitConfig.seed)
-    _add_fit_flags(p)
-    p.add_argument("--out", required=True, help="output tensor file")
-    p.set_defaults(func=_cmd_compress)
-
     grid = ExperimentConfig()
     p = sub.add_parser("experiment", help="Monte Carlo grid over schemes and ratios")
     p.add_argument("--config", default=None,
                    help="key=value file supplying defaults for any flag below")
     p.add_argument("--input", default=None)
     p.add_argument("--dims", type=int, nargs=3, metavar=("I", "J", "K"), default=None)
-    p.add_argument("--rank", type=int, default=grid.rank,
-                   help="CP components fitted per sample (default %(default)s)")
     p.add_argument("--schemes", nargs="+", choices=[s.value for s in Scheme],
                    default=[s.value for s in grid.schemes],
                    help="compression schemes (default %(default)s)")
@@ -123,16 +106,23 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(f"--samples-{scheme.value}", type=int,
                        default=grid.samples_per_cell[scheme],
                        help="samples per cell (default %(default)s)")
-    p.add_argument("--modes", type=int, nargs="+", default=DEFAULT_MODES,
-                   help="modes the ratios apply to (default %(default)s)")
-    p.add_argument("--seed", type=int, default=grid.master_seed,
-                   help="master seed (default %(default)s)")
-    _add_fit_flags(p)
+    _add_grid_flags(p, grid)
     p.add_argument("--workers", type=int, default=None,
                    help="accepted for compatibility; has no effect")
     p.add_argument("--out-json", dest="out_json", default=None)
     p.add_argument("--out-csv", dest="out_csv", default=None)
     p.set_defaults(func=_cmd_experiment, parser=p)
+
+    p = sub.add_parser("sample", help="rerun one sample of an experiment grid")
+    _add_input_flags(p)
+    p.add_argument("--scheme", choices=[s.value for s in Scheme], required=True)
+    p.add_argument("--ratio", type=float, required=True)
+    p.add_argument("--index", type=int, required=True, help="sample index within its cell")
+    _add_grid_flags(p, grid)
+    p.add_argument("--out-prefix", dest="out_prefix", default=None,
+                   help="write PREFIX_compressed.tns and the factors to PREFIX_A.csv, "
+                        "PREFIX_B.csv, PREFIX_C.csv")
+    p.set_defaults(func=_cmd_sample)
 
     return parser
 
@@ -144,6 +134,12 @@ def _fit_config(args: argparse.Namespace, seed: int = FitConfig.seed) -> FitConf
         restarts=args.restarts,
         seed=seed,
     )
+
+
+def _grid_config(args: argparse.Namespace, **cells) -> ExperimentConfig:
+    """The grid of ``cells`` (schemes, ratios, ...) under the shared grid flags."""
+    return ExperimentConfig(rank=args.rank, compressed_modes=frozenset(args.modes),
+                            master_seed=args.seed, fit=_fit_config(args), **cells)
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
@@ -159,37 +155,6 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_decompose(args: argparse.Namespace) -> int:
-    X = read_tensor(args.input, dims=_dims_arg(args))
-    cfg = _fit_config(args, seed=args.seed)
-    if args.rank is not None:
-        check_cp_rank(args.rank, X.dims)
-        model = cp_als(X, args.rank, cfg)
-        factors = {"A": model.A, "B": model.B, "C": model.C}
-        core = None
-        print(f"cp rank={args.rank} fit={model.fit:.10f} "
-              f"iterations={model.iterations} converged={model.converged}")
-    else:
-        try:
-            _check_target(X.dims, args.tucker_dims)
-        except ShapeError as exc:
-            raise ConfigError(f"--tucker-dims {tuple(args.tucker_dims)}: {exc}") from None
-        tm = tucker3(X, tuple(args.tucker_dims), cfg)
-        factors = {"A": tm.A, "B": tm.B, "C": tm.C}
-        core = tm.core
-        print(f"tucker dims={tuple(args.tucker_dims)} fit={tm.fit:.10f} "
-              f"iterations={tm.iterations} converged={tm.converged}")
-    if args.out_prefix:
-        prefix = Path(args.out_prefix)
-        for name, M in factors.items():
-            buf = io.BytesIO()
-            np.savetxt(buf, M, delimiter=",")
-            _atomic_write(prefix.parent / f"{prefix.name}_{name}.csv", buf.getvalue())
-        if core is not None:
-            write_tensor(core, prefix.parent / f"{prefix.name}_core.tns")
-    return 0
-
-
 def _cmd_corcondia(args: argparse.Namespace) -> int:
     X = read_tensor(args.input, dims=_dims_arg(args))
     reports = corcondia_sweep(X, args.ranks, _fit_config(args, seed=args.seed))
@@ -198,16 +163,6 @@ def _cmd_corcondia(args: argparse.Namespace) -> int:
         if report.factor_rank_deficient:
             print(f"corcomp: warning: rank {rank} is factor rank deficient "
                   f"(a fitted factor has numerical rank below {rank})", file=sys.stderr)
-    return 0
-
-
-def _cmd_compress(args: argparse.Namespace) -> int:
-    X = read_tensor(args.input, dims=_dims_arg(args))
-    target = ratio_to_dims(X.dims, RatioSpec(args.ratio, frozenset(args.modes)))
-    cfg = _fit_config(args, seed=args.seed)
-    op = make_operator(X, Scheme(args.scheme), target, cfg, args.seed)
-    write_tensor(compress(X, op), args.out)
-    print(f"wrote {args.out} dims={target} scheme={args.scheme} ratio={args.ratio}")
     return 0
 
 
@@ -252,14 +207,9 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         raise ConfigError("experiment needs an input tensor (--input or input= in config)")
     X = read_tensor(args.input, dims=_dims_arg(args))
     schemes = tuple(Scheme(name) for name in args.schemes)
-    cfg = ExperimentConfig(
-        rank=args.rank,
-        schemes=schemes,
-        ratios=tuple(args.ratios),
+    cfg = _grid_config(
+        args, schemes=schemes, ratios=tuple(args.ratios),
         samples_per_cell={sc: getattr(args, f"samples_{sc.value}") for sc in schemes},
-        compressed_modes=frozenset(args.modes),
-        master_seed=args.seed,
-        fit=_fit_config(args),
     )
     result = run_experiment(X, cfg)
     csv_lines = stats_csv_lines(result)
@@ -270,6 +220,23 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     print(f"baseline corcondia at rank {cfg.rank}: {result.baseline.value:.6f}")
     for line in csv_lines:
         print(line)
+    return 0
+
+
+def _cmd_sample(args: argparse.Namespace) -> int:
+    scheme = Scheme(args.scheme)
+    cfg = _grid_config(args, schemes=(scheme,), ratios=(args.ratio,))
+    X = read_tensor(args.input, dims=_dims_arg(args))
+    compressed, model, report = run_sample(X, cfg, scheme, args.ratio, args.index)
+    if args.out_prefix:
+        prefix = Path(args.out_prefix)
+        write_tensor(compressed, prefix.parent / f"{prefix.name}_compressed.tns")
+        for name, M in zip("ABC", (model.A, model.B, model.C)):
+            buf = io.BytesIO()
+            np.savetxt(buf, M, delimiter=",")
+            _atomic_write(prefix.parent / f"{prefix.name}_{name}.csv", buf.getvalue())
+    print(f"value={report.value!r} fit={model.fit!r} iterations={model.iterations} "
+          f"converged={model.converged} factor_rank_deficient={report.factor_rank_deficient}")
     return 0
 
 

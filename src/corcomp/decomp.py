@@ -27,7 +27,6 @@ from .tensor import (
     _unfold,
     as_matrix,
     frobenius_norm,
-    reconstruct_tucker,
 )
 
 __all__ = [
@@ -88,16 +87,12 @@ class CpModel:
 
 @dataclass(frozen=True)
 class TuckerModel:
-    """Fitted Tucker model: core (PxQxR) and orthonormal-column factors.
-
-    ``fit`` is 1 minus the relative reconstruction error.
-    """
+    """Fitted Tucker model: core (PxQxR) and orthonormal-column factors."""
 
     core: DenseTensor3
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
-    fit: float
     iterations: int
     converged: bool
 
@@ -428,17 +423,11 @@ def tucker3(
             converged = True
         prev_err = err
 
-    # Final fit from the explicit residual; the cancellation-prone norm
-    # identity above is only used for the stopping rule.
-    core = DenseTensor3(core)
-    rec = reconstruct_tucker(core, *factors)
-    fit = 1.0 - float(np.linalg.norm(X.data - rec.data)) / norm_x if norm_x > 0 else 1.0
     return TuckerModel(
-        core=core,
+        core=DenseTensor3(core),
         A=factors[0],
         B=factors[1],
         C=factors[2],
-        fit=fit,
         iterations=iterations,
         converged=converged,
     )

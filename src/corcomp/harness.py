@@ -11,7 +11,8 @@ Reproducibility: the operator for sample ``s`` of cell ``(scheme,
 ratio)`` is seeded by ``mix_seed(master_seed, scheme.wire_id,
 round(ratio * 10000), s)`` and the CP fit of that sample by
 ``mix_seed(sample_seed, FIT_TAG)``, so any cell or sample can be
-recomputed in isolation.
+recomputed in isolation: :func:`run_sample` (``corcomp sample``) reruns
+one sample bit for bit.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .compress import (
     ratio_to_dims,
     tucker_operator,
 )
-from .decomp import FitConfig, cp_als, cp_als_batch, max_feasible_cp_rank
+from .decomp import CpModel, FitConfig, cp_als, cp_als_batch, max_feasible_cp_rank
 from .errors import ConfigError, StepError
 from .seeding import check_seed, mix_seed
 from .tensor import DenseTensor3
@@ -47,6 +48,7 @@ __all__ = [
     "summarize",
     "make_operator",
     "run_experiment",
+    "run_sample",
 ]
 
 # Tags mixed with the master seed for work items that are not cell samples.
@@ -214,6 +216,29 @@ def make_operator(
     return tucker_operator(X, target, replace(fit, seed=seed))
 
 
+def _target(X: DenseTensor3, cfg: ExperimentConfig, ratio: float) -> tuple[int, int, int]:
+    """The dims X compresses to at ``ratio``, checked to support ``cfg.rank``
+    CP components."""
+    target = ratio_to_dims(X.dims, RatioSpec(ratio, cfg.compressed_modes))
+    feasible = max_feasible_cp_rank(target)
+    if cfg.rank > feasible:
+        raise ConfigError(
+            f"ratio {ratio} compresses {X.dims} to {target}, which supports at "
+            f"most {feasible} CP components (rank {cfg.rank} requested)"
+        )
+    return target
+
+
+def _rerun_hint(cfg: ExperimentConfig, scheme: Scheme, ratio: float, index: int) -> str:
+    modes = " ".join(str(m) for m in sorted(cfg.compressed_modes))
+    return (
+        "; rerun it with the grid's --input (and --dims) added to: corcomp sample "
+        f"--scheme {scheme.value} --ratio {ratio!r} --index {index} --seed {cfg.master_seed} "
+        f"--rank {cfg.rank} --modes {modes} --max-iter {cfg.fit.max_iterations} "
+        f"--tol {cfg.fit.rel_tolerance!r} --restarts {cfg.fit.restarts}"
+    )
+
+
 def _run_cell(
     X: DenseTensor3, scheme: Scheme, ratio: float, target: tuple[int, int, int],
     cfg: ExperimentConfig,
@@ -225,7 +250,8 @@ def _run_cell(
     for the chunk's CP fits, then the diagnostic per sample.  ``tucker3`` ignores its
     seed, so a Tucker cell fits its operator once, with sample 0's seed,
     and every sample shares its compression.  A failing step is re-raised
-    as :class:`StepError` with the coordinates that rerun it in isolation.
+    as :class:`StepError` with the coordinates and the ``corcomp sample``
+    command that rerun it in isolation.
     """
     seeds = [
         sample_seed(cfg.master_seed, scheme, ratio, s)
@@ -235,7 +261,7 @@ def _run_cell(
     def sample_failed(s: int, exc: Exception) -> StepError:
         return StepError(
             f"sample {s} of cell ({scheme.value}, {ratio}) failed "
-            f"(operator seed {seeds[s]}): {exc}"
+            f"(operator seed {seeds[s]}): {exc}" + _rerun_hint(cfg, scheme, ratio, s)
         )
 
     def compressed_sample(s: int) -> DenseTensor3:
@@ -259,6 +285,7 @@ def _run_cell(
             raise StepError(
                 f"CP fit of samples {chunk.start}-{chunk.stop - 1} of cell "
                 f"({scheme.value}, {ratio}) failed (sample seeds {chunk_seeds}): {exc}"
+                + _rerun_hint(cfg, scheme, ratio, chunk.start)
             ) from exc
         for s, Xc, model in zip(chunk, compressed, models):
             try:
@@ -268,6 +295,21 @@ def _run_cell(
     return values
 
 
+def run_sample(
+    X: DenseTensor3, cfg: ExperimentConfig, scheme: Scheme, ratio: float, index: int
+) -> tuple[DenseTensor3, CpModel, CorcondiaReport]:
+    """Sample ``index`` of cell ``(scheme, ratio)`` under ``cfg``, computed
+    alone: its compressed tensor, CP model and diagnostic, bit for bit as
+    :func:`run_experiment` computes them.  A Tucker sample's operator is
+    the deterministic Tucker fit, the compression its cell shares."""
+    if index < 0:
+        raise ConfigError(f"sample index must be >= 0, got {index}")
+    seed = sample_seed(cfg.master_seed, scheme, ratio, index)
+    compressed = compress(X, make_operator(X, scheme, _target(X, cfg, ratio), cfg.fit, seed))
+    model = cp_als(compressed, cfg.rank, replace(cfg.fit, seed=mix_seed(seed, FIT_TAG)))
+    return compressed, model, corcondia(compressed, model)
+
+
 def run_experiment(X: DenseTensor3, cfg: ExperimentConfig) -> ExperimentResult:
     """Run the full (scheme, ratio) grid and summarize each cell.
 
@@ -275,17 +317,7 @@ def run_experiment(X: DenseTensor3, cfg: ExperimentConfig) -> ExperimentResult:
     in it must support ``cfg.rank`` CP components.  Cells run one after
     another.
     """
-    targets: dict[float, tuple[int, int, int]] = {}
-    for ratio in cfg.ratios:
-        target = ratio_to_dims(X.dims, RatioSpec(ratio, cfg.compressed_modes))
-        feasible = max_feasible_cp_rank(target)
-        if cfg.rank > feasible:
-            raise ConfigError(
-                f"ratio {ratio} compresses {X.dims} to {target}, which supports at "
-                f"most {feasible} CP components (rank {cfg.rank} requested)"
-            )
-        targets[ratio] = target
-
+    targets = {ratio: _target(X, cfg, ratio) for ratio in cfg.ratios}
     baseline_model = cp_als(
         X, cfg.rank, replace(cfg.fit, seed=mix_seed(cfg.master_seed, BASELINE_TAG))
     )

@@ -52,6 +52,14 @@ def cp_fit_oracle(data: np.ndarray, A: np.ndarray, B: np.ndarray, C: np.ndarray)
     return 1.0 - float(np.linalg.norm(data - rec)) / float(np.linalg.norm(data))
 
 
+def tucker_residual_oracle(data: np.ndarray, model) -> float:
+    """Relative reconstruction error ||X - rec|| / ||X|| of a Tucker model,
+    reconstructing core x1 A x2 B x3 C with einsum."""
+    rec = np.einsum("pqr,ip,jq,kr->ijk", model.core.data, model.A, model.B, model.C,
+                    optimize=True)
+    return float(np.linalg.norm(data - rec)) / float(np.linalg.norm(data))
+
+
 def core_lstsq_oracle(data: np.ndarray, A: np.ndarray, B: np.ndarray, C: np.ndarray) -> np.ndarray:
     """Minimum-norm core by solving the dense least-squares system whose
     design columns are the vectorized outer products a_p o b_q o c_r."""

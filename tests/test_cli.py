@@ -14,8 +14,10 @@ from corcomp import (
     ratio_to_dims,
     read_tensor,
     summarize,
+    tucker3,
 )
 from corcomp.cli import cli_main
+from corcomp.harness import sample_seed
 
 
 def run(argv, capsys):
@@ -86,72 +88,73 @@ class TestSynthAndCorcondia:
         ]
 
 
-class TestCompressCommand:
+def sample_line(out):
+    """The fields of ``sample``'s one stdout line, as strings."""
+    (line,) = out.splitlines()
+    return dict(field.split("=") for field in line.split())
+
+
+class TestSampleCommand:
     def test_half_ratio_dims(self, tmp_path, capsys):
         src = tmp_path / "x.tns"
         run(["synth", "--dims", "268", "44", "7", "--rank", "3", "--noise", "0",
              "--seed", "1", "--out", str(src)], capsys)
-        out_path = tmp_path / "c.tns"
         code, _, _ = run(
-            ["compress", "--input", str(src), "--scheme", "orthonormal",
-             "--ratio", "0.5", "--seed", "2", "--out", str(out_path)],
+            ["sample", "--input", str(src), "--scheme", "orthonormal", "--ratio", "0.5",
+             "--index", "0", "--seed", "2", "--restarts", "1", "--max-iter", "20",
+             "--out-prefix", str(tmp_path / "s")],
             capsys,
         )
         assert code == 0
-        assert read_tensor(out_path).dims == (134, 22, 7)
+        assert read_tensor(tmp_path / "s_compressed.tns").dims == (134, 22, 7)
 
     def test_tucker_scheme(self, exact_tensor_file, tmp_path, capsys):
-        out_path = tmp_path / "c.tns"
-        code, _, _ = run(
-            ["compress", "--input", str(exact_tensor_file), "--scheme", "tucker",
-             "--ratio", "0.5", "--seed", "0", "--out", str(out_path)],
+        code, out, _ = run(
+            ["sample", "--input", str(exact_tensor_file), "--scheme", "tucker",
+             "--ratio", "0.5", "--index", "1", "--out-prefix", str(tmp_path / "t")],
             capsys,
         )
         assert code == 0
-        assert read_tensor(out_path).dims == (10, 7, 8)
+        # A Tucker sample's compressed tensor is the Tucker core of X.
+        core = tucker3(read_tensor(exact_tensor_file), (10, 7, 8), FitConfig()).core
+        assert read_tensor(tmp_path / "t_compressed.tns").data.tobytes() == core.data.tobytes()
+        fields = sample_line(out)
+        assert sorted(fields) == sorted(
+            ["value", "fit", "iterations", "converged", "factor_rank_deficient"]
+        )
+        assert float(fields["value"]) == pytest.approx(100.0, abs=1e-6)
 
     @pytest.mark.parametrize("scheme", [s.value for s in Scheme])
     def test_output_equals_library_compression(self, exact_tensor_file, tmp_path, scheme, capsys):
-        out_path = tmp_path / "c.tns"
+        prefix = tmp_path / "s"
         code, _, _ = run(
-            ["compress", "--input", str(exact_tensor_file), "--scheme", scheme,
-             "--ratio", "0.4", "--modes", "1", "3", "--seed", "7", "--max-iter", "80",
-             "--tol", "1e-9", "--restarts", "2", "--out", str(out_path)],
+            ["sample", "--input", str(exact_tensor_file), "--scheme", scheme,
+             "--ratio", "0.4", "--index", "3", "--modes", "1", "3", "--seed", "7",
+             "--max-iter", "80", "--tol", "1e-9", "--restarts", "2",
+             "--out-prefix", str(prefix)],
             capsys,
         )
         assert code == 0
         X = read_tensor(exact_tensor_file)
         target = ratio_to_dims(X.dims, RatioSpec(0.4, frozenset({1, 3})))
         cfg = FitConfig(max_iterations=80, rel_tolerance=1e-9, restarts=2)
-        expected = compress(X, make_operator(X, Scheme(scheme), target, cfg, 7))
-        got = read_tensor(out_path)
+        seed = sample_seed(7, Scheme(scheme), 0.4, 3)
+        expected = compress(X, make_operator(X, Scheme(scheme), target, cfg, seed))
+        got = read_tensor(tmp_path / "s_compressed.tns")
         assert got.dims == target == (8, 15, 3)
         assert got.data.tobytes() == expected.data.tobytes()
 
-
-class TestDecomposeCommand:
     def test_cp_factors_written(self, exact_tensor_file, tmp_path, capsys):
-        prefix = tmp_path / "fit"
         code, out, _ = run(
-            ["decompose", "--input", str(exact_tensor_file), "--rank", "3",
-             "--restarts", "2", "--out-prefix", str(prefix)],
+            ["sample", "--input", str(exact_tensor_file), "--scheme", "gaussian",
+             "--ratio", "0.5", "--index", "0", "--restarts", "2",
+             "--out-prefix", str(tmp_path / "fit")],
             capsys,
         )
         assert code == 0
         assert "fit=" in out
-        A = np.loadtxt(tmp_path / "fit_A.csv", delimiter=",")
-        assert A.shape == (20, 3)
-
-    def test_tucker_writes_core(self, exact_tensor_file, tmp_path, capsys):
-        prefix = tmp_path / "tk"
-        code, out, _ = run(
-            ["decompose", "--input", str(exact_tensor_file), "--tucker-dims",
-             "3", "3", "3", "--out-prefix", str(prefix)],
-            capsys,
-        )
-        assert code == 0
-        core = read_tensor(tmp_path / "tk_core.tns")
-        assert core.dims == (3, 3, 3)
+        for name, rows in (("A", 10), ("B", 7), ("C", 8)):
+            assert np.loadtxt(tmp_path / f"fit_{name}.csv", delimiter=",").shape == (rows, 3)
 
     def test_failed_factor_write_keeps_the_old_file(
         self, exact_tensor_file, tmp_path, monkeypatch, capsys
@@ -163,24 +166,56 @@ class TestDecomposeCommand:
             raise OSError("disk full")
 
         monkeypatch.setattr(os, "replace", no_replace)
-        code, _, err = run(
-            ["decompose", "--input", str(exact_tensor_file), "--rank", "3",
-             "--restarts", "2", "--out-prefix", str(tmp_path / "fit")],
+        code, out, err = run(
+            ["sample", "--input", str(exact_tensor_file), "--scheme", "gaussian",
+             "--ratio", "0.5", "--index", "0", "--restarts", "2",
+             "--out-prefix", str(tmp_path / "fit")],
             capsys,
         )
         assert code == 1
         assert "disk full" in err
+        assert out == ""
         assert old.read_text() == "old\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["fit_A.csv", "x.tns"]
 
     def test_dims_that_contradict_the_file_exit_1(self, exact_tensor_file, capsys):
         code, out, err = run(
-            ["decompose", "--input", str(exact_tensor_file), "--dims", "3", "3", "3",
-             "--rank", "2"],
+            ["sample", "--input", str(exact_tensor_file), "--dims", "3", "3", "3",
+             "--scheme", "gaussian", "--ratio", "0.5", "--index", "0", "--rank", "2"],
             capsys,
         )
         assert code == 1
         assert "(3, 3, 3) differs from the file's dims (20, 15, 8)" in err
+        assert out == ""
+
+    def test_reproduces_the_grid_samples_bit_for_bit(self, tmp_path, capsys):
+        src, out_json = tmp_path / "x.tns", tmp_path / "r.json"
+        run(["synth", "--dims", "24", "18", "7", "--rank", "3", "--noise", "0.05",
+             "--seed", "3", "--out", str(src)], capsys)
+        shared = ["--input", str(src), "--rank", "3", "--modes", "1", "3", "--seed", "5",
+                  "--restarts", "2", "--max-iter", "150", "--tol", "1e-7"]
+        code, _, _ = run(
+            ["experiment", *shared, "--ratios", "0.5", "--samples-gaussian", "3",
+             "--samples-orthonormal", "3", "--samples-tucker", "2",
+             "--out-json", str(out_json)],
+            capsys,
+        )
+        assert code == 0
+        raw = {cell["scheme"]: cell["raw_samples"]
+               for cell in json.loads(out_json.read_text())["cells"]}
+        for scheme, index in (("gaussian", 2), ("orthonormal", 1), ("tucker", 1)):
+            code, out, _ = run(
+                ["sample", *shared, "--scheme", scheme, "--ratio", "0.5",
+                 "--index", str(index)],
+                capsys,
+            )
+            assert code == 0
+            assert float(sample_line(out)["value"]) == raw[scheme][index]
+
+    @pytest.mark.parametrize("command", ["compress", "decompose"])
+    def test_removed_commands_exit_2(self, exact_tensor_file, command, capsys):
+        code, out, _ = run([command, "--input", str(exact_tensor_file)], capsys)
+        assert code == 2
         assert out == ""
 
 
@@ -397,9 +432,9 @@ class TestOutputFiles:
                 ["synth", "--dims", "12", "10", "6", "--rank", "2", "--seed", "1", "--out", x],
                 ["synth", "--dims", "4", "4", "4", "--rank", "2", "--out", str(out / "y.txt")],
                 ["synth", "--dims", "4", "4", "4", "--rank", "2", "--out", str(out / "y.csv")],
-                ["compress", "--input", x, "--scheme", "gaussian", "--ratio", "0.5",
-                 "--out", str(out / "c.tns")],
-                ["decompose", "--input", x, "--tucker-dims", "2", "2", "2",
+                ["synth", "--dims", "4", "4", "4", "--rank", "2", "--out", str(out / "y.bin")],
+                ["sample", "--input", x, "--scheme", "tucker", "--ratio", "0.5", "--index", "0",
+                 "--rank", "2", "--restarts", "1", "--max-iter", "20",
                  "--out-prefix", str(out / "t")],
                 ["experiment", "--input", x, "--rank", "2", "--schemes", "gaussian",
                  "--ratios", "0.5", "--samples-gaussian", "1", "--restarts", "1",
@@ -415,6 +450,9 @@ class TestOutputFiles:
             modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in out.iterdir()}
             assert len(modes) == 10
             assert modes == dict.fromkeys(modes, 0o666 & ~umask)
+
+
+SAMPLE = ["sample", "--scheme", "orthonormal", "--ratio", "0.5", "--index", "0"]
 
 
 class TestErrorPaths:
@@ -438,15 +476,15 @@ class TestErrorPaths:
             ["synth", "--rank", "2", "--seed", str(2**64)],
             ["corcondia", "--ranks", "1", "--seed", "-1"],
             ["corcondia", "--ranks", "1", "--seed", str(2**64 + 5)],
-            ["decompose", "--rank", "1", "--seed", "-1"],
-            ["compress", "--scheme", "gaussian", "--ratio", "0.5", "--seed", "-1"],
-            ["compress", "--scheme", "gaussian", "--ratio", "0.5", "--seed", str(2**64)],
-            ["compress", "--scheme", "orthonormal", "--ratio", "0.5", "--seed", "-1"],
-            ["compress", "--scheme", "orthonormal", "--ratio", "0.5", "--seed", str(2**64)],
-            ["decompose", "--rank", "0"],
-            ["decompose", "--rank", "17"],
-            ["decompose", "--tucker-dims", "0", "4", "4"],
-            ["decompose", "--tucker-dims", "5", "4", "4"],
+            [*SAMPLE, "--seed", "-1"],
+            [*SAMPLE, "--seed", str(2**64)],
+            [*SAMPLE, "--rank", "0"],
+            [*SAMPLE, "--rank", "5"],
+            [*SAMPLE, "--ratio", "0.25"],
+            ["sample", "--scheme", "gaussian", "--ratio", "0", "--index", "0"],
+            ["sample", "--scheme", "gaussian", "--ratio", "1.5", "--index", "0"],
+            ["sample", "--scheme", "gaussian", "--ratio", "0.5", "--index", "-1"],
+            [*SAMPLE, "--modes", "4"],
         ],
     )
     def test_out_of_range_settings_exit_2(self, tmp_path, argv, capsys):
@@ -457,8 +495,6 @@ class TestErrorPaths:
             argv = argv + ["--dims", "4", "4", "4", "--out", str(tmp_path / "x.tns")]
         else:
             argv = argv + ["--input", str(small)]
-        if argv[0] == "compress":
-            argv = argv + ["--out", str(tmp_path / "c.tns")]
         code, out, err = run(argv, capsys)
         assert code == 2
         assert "configuration error" in err

@@ -145,6 +145,13 @@ class TestRunExperiment:
         model = cp_als(compressed, 3, replace(cfg.fit, seed=mix_seed(seed, FIT_TAG)))
         assert corcondia(compressed, model).value == tucker_cell.raw_samples[s]
 
+        for scheme, s in ((Scheme.GAUSSIAN, 3), (Scheme.ORTHONORMAL, 2), (Scheme.TUCKER, 1)):
+            alone, model, report = harness.run_sample(small_noisy_tensor, cfg, scheme, 0.5, s)
+            assert alone.dims == (15, 10, 8)
+            assert report.value == result.cells[(scheme, 0.5)].raw_samples[s]
+        with pytest.raises(ConfigError, match="-1"):
+            harness.run_sample(small_noisy_tensor, cfg, Scheme.GAUSSIAN, 0.5, -1)
+
     def test_clamping_invariant(self, small_noisy_tensor):
         result = run_experiment(small_noisy_tensor, small_config())
         for cell in result.cells.values():
@@ -234,8 +241,13 @@ class TestRunExperiment:
         with pytest.raises(StepError) as info:
             run_experiment(small_noisy_tensor, cfg)
         message = str(info.value)
-        for part in ("sample 2", "orthonormal", "0.5", f"operator seed {seed}", "exploded"):
+        rerun = (
+            "corcomp sample --scheme orthonormal --ratio 0.5 --index 2 --seed 7 --rank 3 "
+            "--modes 1 2 --max-iter 200 --tol 1e-09 --restarts 2"
+        )
+        for part in ("sample 2", "orthonormal", "0.5", f"operator seed {seed}", "exploded", rerun):
             assert part in message
+        assert message.endswith(rerun)
         assert isinstance(info.value.__cause__, ValueError)
 
     def test_failing_batch_fit_names_the_cell_seeds(self, small_noisy_tensor, monkeypatch):
@@ -248,6 +260,10 @@ class TestRunExperiment:
         with pytest.raises(StepError, match="gaussian") as info:
             run_experiment(small_noisy_tensor, cfg)
         assert str(seeds) in str(info.value)
+        assert str(info.value).endswith(
+            "corcomp sample --scheme gaussian --ratio 0.5 --index 0 --seed 7 --rank 3 "
+            "--modes 1 2 --max-iter 200 --tol 1e-09 --restarts 2"
+        )
         assert isinstance(info.value.__cause__, ValueError)
 
     def test_infeasible_cell_rejected_before_compute(self, small_noisy_tensor):
