@@ -173,9 +173,7 @@ def summarize(samples: Sequence[float]) -> SummaryStats:
         raise ValueError("cannot summarize an empty sample list")
     q1, median, q3 = (float(q) for q in np.percentile(arr, [25.0, 50.0, 75.0]))
     iqr = q3 - q1
-    lo_fence = q1 - 1.5 * iqr
-    hi_fence = q3 + 1.5 * iqr
-    inside = arr[(arr >= lo_fence) & (arr <= hi_fence)]
+    inside = arr[(arr >= q1 - 1.5 * iqr) & (arr <= q3 + 1.5 * iqr)]
     lower_whisker = float(inside.min())
     upper_whisker = float(inside.max())
     outliers = arr[(arr < lower_whisker) | (arr > upper_whisker)]
@@ -239,24 +237,30 @@ def _rerun_hint(cfg: ExperimentConfig, scheme: Scheme, ratio: float, index: int)
     )
 
 
+def _sample(
+    X: DenseTensor3, cfg: ExperimentConfig, scheme: Scheme, ratio: float,
+    target: tuple[int, int, int], index: int, shared: DenseTensor3 | None = None,
+) -> tuple[DenseTensor3, int]:
+    """Compressed tensor and CP-fit seed of one sample (``shared``: its Tucker cell's)."""
+    seed = sample_seed(cfg.master_seed, scheme, ratio, index)
+    if shared is None:
+        shared = compress(X, make_operator(X, scheme, target, cfg.fit, seed))
+    return shared, mix_seed(seed, FIT_TAG)
+
+
 def _run_cell(
     X: DenseTensor3, scheme: Scheme, ratio: float, target: tuple[int, int, int],
     cfg: ExperimentConfig,
 ) -> list[float]:
     """Raw diagnostic values of one (scheme, ratio) cell, in sample order.
 
-    Samples run in chunks of about ``BATCH_BYTES`` of compressed data:
-    operators and compression per sample, one :func:`cp_als_batch` call
-    for the chunk's CP fits, then the diagnostic per sample.  ``tucker3`` ignores its
-    seed, so a Tucker cell fits its operator once, with sample 0's seed,
-    and every sample shares its compression.  A failing step is re-raised
-    as :class:`StepError` with the coordinates and the ``corcomp sample``
-    command that rerun it in isolation.
+    Samples run in chunks of about ``BATCH_BYTES`` of compressed data, one
+    :func:`cp_als_batch` call per chunk.  ``tucker3`` ignores its seed, so a
+    Tucker cell compresses once, with sample 0's seed.  A failing step raises
+    :class:`StepError` with its coordinates and the ``corcomp sample`` rerun.
     """
-    seeds = [
-        sample_seed(cfg.master_seed, scheme, ratio, s)
-        for s in range(cfg.samples_per_cell[scheme])
-    ]
+    n = cfg.samples_per_cell[scheme]
+    seeds = [sample_seed(cfg.master_seed, scheme, ratio, s) for s in range(n)]
 
     def sample_failed(s: int, exc: Exception) -> StepError:
         return StepError(
@@ -264,27 +268,25 @@ def _run_cell(
             f"(operator seed {seeds[s]}): {exc}" + _rerun_hint(cfg, scheme, ratio, s)
         )
 
-    def compressed_sample(s: int) -> DenseTensor3:
+    def sample(s: int, shared: DenseTensor3 | None) -> tuple[DenseTensor3, int]:
         try:
-            return compress(X, make_operator(X, scheme, target, cfg.fit, seeds[s]))
+            return _sample(X, cfg, scheme, ratio, target, s, shared)
         except Exception as exc:
             raise sample_failed(s, exc) from exc
 
-    shared = compressed_sample(0) if scheme is Scheme.TUCKER else None
+    shared = sample(0, None)[0] if scheme is Scheme.TUCKER else None
     values: list[float] = []
     per_batch = max(1, BATCH_BYTES // (8 * int(np.prod(target))))
-    for start in range(0, len(seeds), per_batch):
-        chunk = range(start, min(start + per_batch, len(seeds)))
-        compressed = [compressed_sample(s) if shared is None else shared for s in chunk]
-        chunk_seeds = seeds[chunk.start : chunk.stop]
+    for start in range(0, n, per_batch):
+        chunk = range(start, min(start + per_batch, n))
+        compressed, fit_seeds = zip(*(sample(s, shared) for s in chunk))
         try:
-            models = cp_als_batch(
-                compressed, cfg.rank, cfg.fit, [mix_seed(seed, FIT_TAG) for seed in chunk_seeds]
-            )
+            models = cp_als_batch(compressed, cfg.rank, cfg.fit, fit_seeds)
         except Exception as exc:
             raise StepError(
-                f"CP fit of samples {chunk.start}-{chunk.stop - 1} of cell "
-                f"({scheme.value}, {ratio}) failed (sample seeds {chunk_seeds}): {exc}"
+                f"CP fit of samples {chunk.start}-{chunk.stop - 1} of cell ({scheme.value}, "
+                f"{ratio}) failed (sample seeds {seeds[chunk.start:chunk.stop]}): {exc}; each "
+                f"reruns alone with its index in place of --index {chunk.start}"
                 + _rerun_hint(cfg, scheme, ratio, chunk.start)
             ) from exc
         for s, Xc, model in zip(chunk, compressed, models):
@@ -298,15 +300,13 @@ def _run_cell(
 def run_sample(
     X: DenseTensor3, cfg: ExperimentConfig, scheme: Scheme, ratio: float, index: int
 ) -> tuple[DenseTensor3, CpModel, CorcondiaReport]:
-    """Sample ``index`` of cell ``(scheme, ratio)`` under ``cfg``, computed
-    alone: its compressed tensor, CP model and diagnostic, bit for bit as
-    :func:`run_experiment` computes them.  A Tucker sample's operator is
-    the deterministic Tucker fit, the compression its cell shares."""
+    """Sample ``index`` of cell ``(scheme, ratio)`` under ``cfg``, computed alone:
+    its compressed tensor, CP model and diagnostic, bit for bit as in
+    :func:`run_experiment` (a Tucker cell's samples share one compression)."""
     if index < 0:
         raise ConfigError(f"sample index must be >= 0, got {index}")
-    seed = sample_seed(cfg.master_seed, scheme, ratio, index)
-    compressed = compress(X, make_operator(X, scheme, _target(X, cfg, ratio), cfg.fit, seed))
-    model = cp_als(compressed, cfg.rank, replace(cfg.fit, seed=mix_seed(seed, FIT_TAG)))
+    compressed, fit_seed = _sample(X, cfg, scheme, ratio, _target(X, cfg, ratio), index)
+    model = cp_als(compressed, cfg.rank, replace(cfg.fit, seed=fit_seed))
     return compressed, model, corcondia(compressed, model)
 
 

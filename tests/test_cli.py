@@ -1,6 +1,7 @@
 import json
 import os
 import stat
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -170,9 +171,14 @@ class TestSampleCommand:
     ):
         old = tmp_path / "fit_A.csv"
         old.write_text("old\n")
+        real_replace, targets = os.replace, []
 
         def no_replace(src, dst):
-            raise OSError("disk full")
+            # Only the overwrite of the existing factor file fails.
+            targets.append(Path(dst).name)
+            if Path(dst) == old:
+                raise OSError("disk full")
+            real_replace(src, dst)
 
         monkeypatch.setattr(os, "replace", no_replace)
         code, out, err = run(
@@ -184,8 +190,11 @@ class TestSampleCommand:
         assert code == 1
         assert "disk full" in err
         assert out == ""
+        assert targets == ["fit_compressed.tns", "fit_A.csv"]
         assert old.read_text() == "old\n"
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["fit_A.csv", "x.tns"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "fit_A.csv", "fit_compressed.tns", "x.tns"
+        ]
 
     def test_dims_that_contradict_the_file_exit_1(self, exact_tensor_file, capsys):
         code, out, err = run(

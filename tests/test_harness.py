@@ -260,6 +260,7 @@ class TestRunExperiment:
         with pytest.raises(StepError, match="gaussian") as info:
             run_experiment(small_noisy_tensor, cfg)
         assert str(seeds) in str(info.value)
+        assert "each reruns alone with its index in place of --index 0" in str(info.value)
         assert str(info.value).endswith(
             "corcomp sample --scheme gaussian --ratio 0.5 --index 0 --seed 7 --rank 3 "
             "--modes 1 2 --max-iter 200 --tol 1e-09 --restarts 2"
