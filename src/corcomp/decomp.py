@@ -2,13 +2,13 @@
 pseudoinverse the core consistency diagnostic relies on.
 
 CP models are fit with multi-restart ALS, every restart of every tensor
-of a batch stacked into one loop; Tucker models with a truncated
-higher-order SVD refined by orthogonal iteration, each leading subspace
-taken from the Gram matrix's eigendecomposition when the unfolding is
-wide and from an SVD when it is tall.  Both fitters are pure
-functions of ``(input, config)``: all randomness flows from the config
-seed through per-restart derived streams, so results are reproducible
-and independent of scheduling.
+of a batch stacked into one loop; each factor update multiplies its
+right-hand side by the batched inverse of the R x R Hadamard product of
+Grams, and only an exactly singular member takes the pseudoinverse.
+Tucker models are fit by a truncated HOSVD refined by orthogonal
+iteration.  Both fitters are pure functions of ``(input, config)``: all
+randomness flows from the config seed through per-restart streams, so
+results are reproducible and independent of scheduling.
 """
 
 from __future__ import annotations
@@ -109,25 +109,23 @@ def _gram(F: np.ndarray) -> np.ndarray:
     return F.swapaxes(-1, -2) @ F
 
 
-def _solve_one(gram: np.ndarray, rhs_t: np.ndarray) -> np.ndarray:
+def _solve_one(gram: np.ndarray) -> np.ndarray:
     try:
-        return np.linalg.solve(gram, rhs_t)
+        return np.linalg.inv(gram)
     except np.linalg.LinAlgError:
-        return np.linalg.pinv(gram) @ rhs_t
+        return np.linalg.pinv(gram)
 
 
 def _solve(rhs: np.ndarray, gram: np.ndarray) -> np.ndarray:
-    """Least-squares update of one factor for every member from its
-    right-hand side and Gram product.  The normal equations are solved as
-    one batch.  When any member's Gram matrix is singular the batch is
-    redone member by member, and only the failing members take the
-    pseudoinverse."""
-    rhs_t = rhs.swapaxes(-1, -2)
+    """Least-squares update of one factor for every member: its right-hand
+    side times the batched inverse of its R x R Gram product.  If a member's
+    product is exactly singular, the inverses are redone one by one and only
+    the failing members take the pseudoinverse."""
     try:
-        solved = np.linalg.solve(gram, rhs_t)
+        inverse = np.linalg.inv(gram)
     except np.linalg.LinAlgError:
-        solved = np.stack([_solve_one(g, b) for g, b in zip(gram, rhs_t)])
-    return solved.swapaxes(-1, -2)
+        inverse = np.stack([_solve_one(g) for g in gram])
+    return rhs @ inverse
 
 
 def _stacked_products(mats: list[np.ndarray], spans: list[slice], F: np.ndarray) -> np.ndarray:
@@ -229,18 +227,19 @@ def check_cp_rank(rank: int, dims: tuple[int, int, int]) -> None:
 def cp_als(X: DenseTensor3, R: int, cfg: FitConfig = FitConfig()) -> CpModel:
     """Fit an R-component CP model by alternating least squares.
 
-    Each sweep solves the three linear least-squares problems for A, B
-    and C in turn; the reconstruction error is therefore nonincreasing
-    from sweep to sweep.  Their right-hand sides take two tensor-sized
-    products per sweep, both along the largest mode: one with the
-    Khatri-Rao product of the two other factors, and one with that
-    mode's factor alone, whose result serves the two other modes.
-    Factors are initialized with uniform(-1, 1) entries, ``cfg.restarts``
-    times, and the best fit is returned.  Non-convergence within
-    ``cfg.max_iterations`` is reported through ``converged=False``, not
-    as an error.  The error behind the stopping rule and ``fit`` comes
-    from the Gram identity, O(KR + R^2) per sweep; below 1e-5 it comes
-    from the explicit residual, a tensor-sized product.
+    Each sweep solves the three linear least-squares problems for A, B and C
+    in turn, each right-hand side times the inverse of the R x R Hadamard
+    product of the two other factors' Grams (its pseudoinverse if exactly
+    singular), so the reconstruction error never rises from sweep to sweep.
+    Two tensor-sized products per sweep, both along the largest mode, give
+    the right-hand sides: one with the Khatri-Rao product of the two other
+    factors, one with that mode's factor alone, whose result serves the two
+    other modes.  Factors start from uniform(-1, 1) entries,
+    ``cfg.restarts`` times, and the best fit is returned.  Non-convergence
+    within ``cfg.max_iterations`` is reported through ``converged=False``,
+    not as an error.  The error behind the stopping rule and ``fit`` comes
+    from the Gram identity, O(KR + R^2) per sweep; below 1e-5, from the
+    explicit residual, a tensor-sized product.
 
     Raises ``ValueError`` for the all-zero tensor (no meaningful model
     exists and the core consistency of the result would be undefined).

@@ -108,9 +108,9 @@ def cp_als_loop_oracle(X, R: int, cfg):
 
     def solve(rhs, gram):
         try:
-            return np.linalg.solve(gram, rhs.T).T
+            return rhs @ np.linalg.inv(gram)
         except np.linalg.LinAlgError:
-            return (np.linalg.pinv(gram) @ rhs.T).T
+            return rhs @ np.linalg.pinv(gram)
 
     def absorb_norms(F, *scaled):
         norms = np.linalg.norm(F, axis=0)

@@ -258,6 +258,31 @@ class TestCpAlsBatch:
             cp_als_batch(tensors, 1, self.CFG, [0, 1])
 
 
+class TestFactorUpdate:
+    # (distance of the last column from the first, range of the Gram
+    # product's condition number, relative tolerance against lstsq).  An
+    # overfactored fit has nearly collinear components.  The update works
+    # on the normal equations and loses about cond * 2.2e-16; lstsq works
+    # on the Khatri-Rao product, whose condition number is sqrt(cond).
+    CASES = [(1.0, (1.0, 1e3), 1e-13), (1e-4, (1e7, 1e9), 1e-6)]
+
+    @pytest.mark.parametrize("spread, cond_range, rtol", CASES)
+    def test_matches_lstsq_of_each_member(self, spread, cond_range, rtol):
+        rng = np.random.default_rng(52)
+        Fa, Fb = (rng.standard_normal((3, d, 4)) for d in (9, 7))
+        for F in (Fa, Fb):
+            F[..., -1] = F[..., 0] + spread * rng.standard_normal(F.shape[:-1])
+        K = decomp._khatri_rao(Fa, Fb)
+        target = rng.standard_normal((3, 20, K.shape[-2]))
+        gram = decomp._gram(Fa) * decomp._gram(Fb)
+        assert all(cond_range[0] < np.linalg.cond(g) < cond_range[1] for g in gram)
+        got = decomp._solve(target @ K, gram)
+        for m in range(len(K)):
+            # The member's problem: min ||target - F K^T|| over F.
+            want = np.linalg.lstsq(K[m], target[m].T, rcond=None)[0].T
+            assert np.linalg.norm(got[m] - want) <= rtol * np.linalg.norm(want)
+
+
 class TestTucker3:
     def test_exact_tucker_instance(self):
         rng = np.random.default_rng(10)
