@@ -2,9 +2,10 @@
 pseudoinverse the core consistency diagnostic relies on.
 
 CP models are fit with multi-restart ALS, every restart of every tensor
-of a batch stacked into one loop; each factor update multiplies its
-right-hand side by the batched inverse of the R x R Hadamard product of
-Grams, and only an exactly singular member takes the pseudoinverse.
+of a batch stacked into one loop.  A sweep updates the largest mode
+first; each update multiplies its right-hand side by the batched inverse
+of the R x R Hadamard product of Grams (the pseudoinverse for an exactly
+singular member).  A and B column norms move into C once, on recording.
 Tucker models are fit by a truncated HOSVD refined by orthogonal
 iteration.  Both fitters are pure functions of ``(input, config)``: all
 randomness flows from the config seed through per-restart streams, so
@@ -71,8 +72,8 @@ class CpModel:
     """Fitted CP model with factors A (IxR), B (JxR), C (KxR).
 
     ``fit`` is 1 minus the relative reconstruction error.  Column norms
-    of A and B are absorbed into C during fitting, so A and B have
-    unit-norm columns (up to degenerate zero columns).  ``fit`` comes
+    of A and B are absorbed into C when the model is recorded, so A and
+    B have unit-norm columns (up to degenerate zero columns).  ``fit`` comes
     from the Gram identity, or from the explicit residual where the
     identity falls below 1e-5 (see :func:`cp_als`).
     """
@@ -137,59 +138,51 @@ def _stacked_products(mats: list[np.ndarray], spans: list[slice], F: np.ndarray)
     return out
 
 
-def _absorb_norms(F: np.ndarray, *scaled: np.ndarray) -> None:
-    """Normalize F's columns in place, absorbing their norms into each of
-    ``scaled`` (C, and the partial product that follows C)."""
-    # The same reduction np.linalg.norm(F, axis=-2) makes, without its overhead.
-    norms = np.sqrt(np.add.reduce(F * F, axis=-2))[..., None, :]
-    ok = norms > np.finfo(np.float64).tiny
-    np.divide(F, norms, out=F, where=ok)
-    for S in scaled:
-        np.multiply(S, norms, out=S, where=ok)
+def _absorb_norms(C: np.ndarray, *normalized: np.ndarray) -> None:
+    """Normalize the columns of each of ``normalized`` in place, absorbing
+    their norms into C's columns."""
+    for F in normalized:
+        # The same reduction np.linalg.norm(F, axis=-2) makes, without its overhead.
+        norms = np.sqrt(np.add.reduce(F * F, axis=-2))[..., None, :]
+        ok = norms > np.finfo(np.float64).tiny
+        np.divide(F, norms, out=F, where=ok)
+        np.multiply(C, norms, out=C, where=ok)
 
 
-def _als_sweep(mats, spans, F, G, Z, n):
-    """One ALS sweep of every member: A, B and C updated in turn in the
-    list F, and their Gram matrices in G.
+def _update(F, G, mode: int, rhs: np.ndarray) -> np.ndarray:
+    """Solve mode's factor of every member from its right-hand side and
+    refresh its Gram; returns the Gram product the solve inverted."""
+    a, b = (m for m in range(3) if m != mode)
+    gram = G[a] * G[b]
+    F[mode] = _solve(rhs, gram)
+    G[mode] = _gram(F[mode])
+    return gram
 
-    The largest mode, index n, takes its right-hand side from the tensor
-    and the Khatri-Rao product of the two other factors.  Its new factor
-    then gives the partial product ``Z = X x_n F[n]^T``, ``(M, d_o1 *
-    d_o2, R)`` with the two other modes in increasing order, and each of
-    those modes' right-hand side contracts Z with the other's factor.
-    Unless n is mode 1, Z carries over into the next sweep.  Returns Z
-    and what the residual is taken with: the mode-3 right-hand side and
-    the Gram product of C's update."""
+
+def _als_sweep(mats, spans, F, G, n):
+    """One ALS sweep of every member, updating the factors in the list F
+    and their Grams in G in the order n (the largest mode), o1, o2.
+
+    Mode n's right-hand side is the tensor times the Khatri-Rao product of
+    F[o1] and F[o2].  Then ``Z = X x_n F[n]^T``, ``(M, d_o1, d_o2, R)``,
+    contracted with one factor, gives each other mode's.  Nothing is
+    rescaled.  Returns mode o2, its right-hand side and Gram product."""
     o1, o2 = (m for m in range(3) if m != n)
-    for mode in range(3):
-        a, b = (m for m in range(3) if m != mode)
-        gram = G[a] * G[b]
-        if mode == n:
-            rhs = _stacked_products(mats, spans, _khatri_rao(F[a], F[b]))
-        else:
-            Z4 = Z.reshape(len(Z), F[o1].shape[-2], F[o2].shape[-2], -1)
-            if mode == o1:
-                rhs = np.einsum("mpqr,mqr->mpr", Z4, F[o2])
-            else:
-                rhs = np.einsum("mpqr,mpr->mqr", Z4, F[o1])
-        F[mode] = _solve(rhs, gram)
-        if mode < 2:  # Z = X x3 C^T follows every rescaling of C
-            _absorb_norms(F[mode], *([F[2], Z] if n == 2 else [F[2]]))
-        G[mode] = _gram(F[mode])
-        if mode == 0:  # B's update reads C rescaled by A's norms
-            G[2] = _gram(F[2])
-        if mode == n:
-            Z = _stacked_products([mat.T for mat in mats], spans, F[n])
-    return Z, rhs, gram
+    _update(F, G, n, _stacked_products(mats, spans, _khatri_rao(F[o1], F[o2])))
+    Z = _stacked_products([mat.T for mat in mats], spans, F[n])
+    Z = Z.reshape(len(Z), F[o1].shape[-2], F[o2].shape[-2], -1)
+    _update(F, G, o1, np.einsum("mpqr,mqr->mpr", Z, F[o2]))
+    rhs = np.einsum("mpqr,mpr->mqr", Z, F[o1])
+    return o2, rhs, _update(F, G, o2, rhs)
 
 
-def _identity_norms(norms, rhs3, C, gram_ab, gram_c) -> np.ndarray:
+def _identity_norms(norms, rhs, F, gram_others, gram_f) -> np.ndarray:
     """Residual norm of every member from the Gram identity
-    ``||X||^2 - 2<M3, C> + sum(G_AB * G_C)``, where M3 is the mode-3
-    right-hand side, ``X_(3) (B kr A)`` in exact arithmetic; each sum is an
-    ``np.add.reduce`` over the row-major flattened elementwise product."""
-    cross = np.add.reduce((rhs3 * C).reshape(len(C), -1), axis=-1)
-    model = np.add.reduce((gram_ab * gram_c).reshape(len(C), -1), axis=-1)
+    ``||X||^2 - 2<M, F> + sum(G_others * G_F)``, F being the last-updated
+    factor, M its right-hand side (its MTTKRP in exact arithmetic); each
+    sum is an ``np.add.reduce`` over the row-major flattened product."""
+    cross = np.add.reduce((rhs * F).reshape(len(F), -1), axis=-1)
+    model = np.add.reduce((gram_others * gram_f).reshape(len(F), -1), axis=-1)
     return np.sqrt(np.maximum(norms * norms - 2.0 * cross + model, 0.0))
 
 
@@ -227,10 +220,12 @@ def check_cp_rank(rank: int, dims: tuple[int, int, int]) -> None:
 def cp_als(X: DenseTensor3, R: int, cfg: FitConfig = FitConfig()) -> CpModel:
     """Fit an R-component CP model by alternating least squares.
 
-    Each sweep solves the three linear least-squares problems for A, B and C
-    in turn, each right-hand side times the inverse of the R x R Hadamard
-    product of the two other factors' Grams (its pseudoinverse if exactly
-    singular), so the reconstruction error never rises from sweep to sweep.
+    Each sweep solves the three linear least-squares problems for the
+    factors, largest mode first (the first on ties), then the two others
+    in mode order.  Each right-hand side is multiplied by the inverse of
+    the R x R Hadamard product of the two other factors' Grams (its
+    pseudoinverse if exactly singular), so the reconstruction error never
+    rises from sweep to sweep.
     Two tensor-sized products per sweep, both along the largest mode, give
     the right-hand sides: one with the Khatri-Rao product of the two other
     factors, one with that mode's factor alone, whose result serves the two
@@ -262,7 +257,8 @@ def cp_als_batch(
     tensor is one member of stacked factor arrays, so a sweep costs a few
     dozen numpy calls for the whole batch plus its two tensor-sized
     products per tensor, instead of a few dozen per member.  Members
-    leave the stacks as they finish.
+    leave the stacks as they finish; copies of their factors then take
+    the :class:`CpModel` norm convention, the one place it is applied.
 
     Raises ``ShapeError`` when the tensors' dims differ and ``ValueError``
     naming the index of an all-zero tensor.
@@ -309,14 +305,13 @@ def cp_als_batch(
     live = np.arange(members)
     live_mats, spans = _live_tensors(mats, live, restarts)
     G = [_gram(factor) for factor in F]
-    Z = None if n == 0 else _stacked_products([m.T for m in live_mats], spans, F[n])
     live_norms = np.repeat(norms, restarts)
     prev_err = np.full(members, np.inf)
     fits: list[CpModel] = [None] * members  # type: ignore[list-item]
     for sweep in range(cfg.max_iterations):
-        Z, rhs3, gram_ab = _als_sweep(live_mats, spans, F, G, Z, n)
+        last, rhs, gram = _als_sweep(live_mats, spans, F, G, n)
         A, B, C = F
-        err = _identity_norms(live_norms, rhs3, C, gram_ab, G[2]) / live_norms
+        err = _identity_norms(live_norms, rhs, F[last], gram, G[last]) / live_norms
         for k in np.flatnonzero(err < _EXPLICIT_RESIDUAL_BELOW):
             # ||X_(1) - A (B kr C)^T|| on the mode-1 view, the product
             # overwritten by the residual.
@@ -330,18 +325,15 @@ def cp_als_batch(
         if not done.any():
             continue
         for k in np.flatnonzero(done):
-            fits[live[k]] = CpModel(
-                A=A[k].copy(),
-                B=B[k].copy(),
-                C=C[k].copy(),
-                fit=1.0 - float(err[k]),
-                iterations=sweep + 1,
-                converged=bool(converged[k]),
-            )
+            # The model's convention: unit-norm A and B columns, norms in C.
+            a, b, c = A[k].copy(), B[k].copy(), C[k].copy()
+            _absorb_norms(c, a, b)
+            fits[live[k]] = CpModel(A=a, B=b, C=c, fit=1.0 - float(err[k]),
+                                    iterations=sweep + 1, converged=bool(converged[k]))
         if done.all():
             break
         keep = ~done
-        F, G, Z = [f[keep] for f in F], [g[keep] for g in G], Z[keep]
+        F, G = [f[keep] for f in F], [g[keep] for g in G]
         live, live_norms, prev_err = live[keep], live_norms[keep], prev_err[keep]
         live_mats, spans = _live_tensors(mats, live, restarts)
 

@@ -302,9 +302,10 @@ def run_sample(
 ) -> tuple[DenseTensor3, CpModel, CorcondiaReport]:
     """Sample ``index`` of cell ``(scheme, ratio)`` under ``cfg``, computed alone:
     its compressed tensor, CP model and diagnostic, bit for bit as in
-    :func:`run_experiment` (a Tucker cell's samples share one compression)."""
-    if index < 0:
-        raise ConfigError(f"sample index must be >= 0, got {index}")
+    :func:`run_experiment` (a Tucker cell's samples share one compression).
+    An index outside [0, 2^64) is a :class:`ConfigError`: the seed
+    derivation would map it onto a smaller index's streams."""
+    check_seed(index, "sample index")
     compressed, fit_seed = _sample(X, cfg, scheme, ratio, _target(X, cfg, ratio), index)
     model = cp_als(compressed, cfg.rank, replace(cfg.fit, seed=fit_seed))
     return compressed, model, corcondia(compressed, model)

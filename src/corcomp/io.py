@@ -12,7 +12,8 @@ magic bytes and extension:
   ``I J K``, then one value per line in the same flat order.
 * CSV triplets (``.csv``): lines ``i,j,k,value`` with 1-based indices,
   unlisted entries zero.  Dims come from a ``# dims: I J K`` comment
-  line, else from the ``dims`` argument, which must match any file's dims.
+  line, else from the ``dims`` argument, which must match any file's dims;
+  a second dims line is an error.
 
 All writes go through a temporary file in the target directory followed
 by an atomic rename.
@@ -218,6 +219,7 @@ def _read_csv(
     text: str, path: Path, dims: tuple[int, int, int] | None
 ) -> DenseTensor3:
     header_dims: tuple[int, int, int] | None = None
+    dims_line = 0
     entries: list[tuple[int, int, int, float, int]] = []
     for lineno, ln in enumerate(text.splitlines(), start=1):
         ln = ln.strip()
@@ -226,6 +228,9 @@ def _read_csv(
         if ln.startswith("#"):
             stripped = ln.lstrip("#").strip()
             if stripped.lower().startswith("dims:"):
+                if dims_line:
+                    raise FormatError(f"{path}:{lineno}: dims line repeats line {dims_line}")
+                dims_line = lineno
                 parts = stripped[5:].split()
                 try:
                     if len(parts) != 3:

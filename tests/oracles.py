@@ -92,14 +92,16 @@ def cp_als_loop_oracle(X, R: int, cfg):
     loop that ``cp_als_batch`` stacks.  The arithmetic is the same, so the
     batched engine must reproduce its models bit for bit.
 
-    Mode n, the largest (the first on ties), takes its right-hand side
-    from the moved tensor and the Khatri-Rao product of the two other
-    factors.  Right after it, ``Z = X x_n F_n^T`` gives the two other
-    modes' right-hand sides, each by contracting one small mode.  Each
-    sweep's relative error comes from the Gram identity
-    ``||X||^2 - 2<M3, C> + sum(G_AB * G_C)``, M3 being the mode-3
-    right-hand side, and from the explicit residual on the mode-1 view
-    where that falls below the library's guard."""
+    Each sweep updates mode n, the largest (the first on ties), then the
+    two others o1 < o2.  Mode n takes its right-hand side from the moved
+    tensor and the Khatri-Rao product of the two other factors.  Right
+    after it, ``Z = X x_n F_n^T`` gives the two other modes' right-hand
+    sides, each by contracting one small mode.  Each sweep's relative
+    error comes from the Gram identity ``||X||^2 - 2<M, F_o2> + sum(G *
+    F_o2^T F_o2)``, M and G being mode o2's right-hand side and Gram
+    product, and from the explicit residual on the mode-1 view where that
+    falls below the library's guard.  A finished restart's A and B
+    columns are normalized, their norms absorbed into C."""
     from corcomp import CpModel, frobenius_norm
     from corcomp.decomp import _EXPLICIT_RESIDUAL_BELOW as guard
 
@@ -112,12 +114,11 @@ def cp_als_loop_oracle(X, R: int, cfg):
         except np.linalg.LinAlgError:
             return rhs @ np.linalg.pinv(gram)
 
-    def absorb_norms(F, *scaled):
+    def absorb_norms(F, C):
         norms = np.linalg.norm(F, axis=0)
         ok = norms > np.finfo(np.float64).tiny
         F[:, ok] /= norms[ok]
-        for S in scaled:
-            S[..., ok] *= norms[ok]
+        C[:, ok] *= norms[ok]
 
     dims = X.dims
     n = dims.index(max(dims))
@@ -129,15 +130,13 @@ def cp_als_loop_oracle(X, R: int, cfg):
     for restart in range(cfg.restarts):
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, restart)))
         F = [rng.uniform(-1.0, 1.0, (d, R)) for d in dims]
-        Z = Xn.T @ F[n]
         history = []
         converged = False
         prev_err = np.inf
         for _ in range(cfg.max_iterations):
-            for mode in range(3):
+            for mode in (n, o1, o2):
                 a, b = (m for m in range(3) if m != mode)
                 gram = (F[a].T @ F[a]) * (F[b].T @ F[b])
-                Z3 = Z.reshape(dims[o1], dims[o2], R)
                 if mode == n:
                     rhs = Xn @ khatri_rao(F[a], F[b])
                 elif mode == o1:
@@ -145,14 +144,12 @@ def cp_als_loop_oracle(X, R: int, cfg):
                 else:
                     rhs = np.einsum("pqr,pr->qr", Z3, F[o1])
                 F[mode] = solve(rhs, gram)
-                if mode < 2:
-                    absorb_norms(F[mode], *([F[2], Z] if n == 2 else [F[2]]))
                 if mode == n:
-                    Z = Xn.T @ F[n]
+                    Z3 = (Xn.T @ F[n]).reshape(dims[o1], dims[o2], R)
             A, B, C = F
             # The Gram identity, and the explicit residual below the guard.
-            cross = np.add.reduce((rhs * C).ravel())
-            model = np.add.reduce((gram * (C.T @ C)).ravel())
+            cross = np.add.reduce((rhs * F[o2]).ravel())
+            model = np.add.reduce((gram * (F[o2].T @ F[o2])).ravel())
             err = float(np.sqrt(max(norm_x * norm_x - 2.0 * cross + model, 0.0))) / norm_x
             if err < guard:
                 err = float(np.linalg.norm(X1 - A @ khatri_rao(B, C).T)) / norm_x
@@ -161,6 +158,8 @@ def cp_als_loop_oracle(X, R: int, cfg):
                 converged = True
                 break
             prev_err = err
+        absorb_norms(A, C)
+        absorb_norms(B, C)
         model = CpModel(A=A, B=B, C=C, fit=1.0 - history[-1], iterations=len(history),
                         converged=converged)
         if best is None or model.fit > best.fit:

@@ -502,6 +502,7 @@ class TestErrorPaths:
             ["sample", "--scheme", "gaussian", "--ratio", "0", "--index", "0"],
             ["sample", "--scheme", "gaussian", "--ratio", "1.5", "--index", "0"],
             ["sample", "--scheme", "gaussian", "--ratio", "0.5", "--index", "-1"],
+            ["sample", "--scheme", "gaussian", "--ratio", "0.5", "--index", str(2**64)],
             [*SAMPLE, "--modes", "4"],
         ],
     )

@@ -103,6 +103,10 @@ class TestDiagnostic:
         perm = [2, 0, 1]
         permuted = corcondia_from_factors(Xn, A[:, perm], B[:, perm], C[:, perm]).value
         assert permuted == pytest.approx(base, abs=1e-10)
+        # The same model with one component's sign moved from A to C.
+        flip = np.array([1.0, -1.0, 1.0])
+        flipped = corcondia_from_factors(Xn, (A * flip)[:, perm], B[:, perm], (C * flip)[:, perm])
+        assert flipped.value == pytest.approx(base, abs=1e-10)
 
     def test_invariant_under_scalar_rescaling(self):
         X, (A, B, C) = random_cp((5, 6, 7), 3, seed=10)

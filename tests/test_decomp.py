@@ -213,13 +213,13 @@ class TestCpAlsBatch:
         real_sweep, real_solve = decomp._als_sweep, decomp._solve
         state, errors = {}, []
 
-        def sweep(mats, spans, F, G, Z, n):
-            state["F"], state["calls"] = F, 0
-            return real_sweep(mats, spans, F, G, Z, n)
+        def sweep(mats, spans, F, G, n):
+            o1, o2 = (m for m in range(3) if m != n)
+            state["F"], state["modes"] = F, iter((n, o1, o2))
+            return real_sweep(mats, spans, F, G, n)
 
         def solve(rhs, gram):
-            mode = state["calls"]
-            state["calls"] += 1
+            mode = next(state["modes"])
             a, b = (m for m in range(3) if m != mode)
             X = np.repeat(data, len(rhs) // len(data), axis=0)
             want = np.einsum(specs[mode], X, state["F"][a], state["F"][b])
@@ -241,6 +241,20 @@ class TestCpAlsBatch:
         fits = [cp_als(DenseTensor3(X.transpose(p)), 3, TIGHT).fit
                 for p in itertools.permutations(range(3))]
         assert max(fits) - min(fits) <= 1e-10
+
+    def test_a_and_b_columns_have_unit_norm(self):
+        # The model's convention, which the diagnostic's value depends on:
+        # every nonzero column of A and B has unit norm, the norms in C.
+        X, _ = random_cp_tensor((9, 7, 5), 3, seed=53)
+        noisy = DenseTensor3(X.data + 0.1 * np.random.default_rng(54).standard_normal(X.dims))
+        last = DenseTensor3(noisy.data.transpose(2, 1, 0))  # largest mode last
+        models = [cp_als(Y, R, self.CFG) for Y, R in ((noisy, 3), (noisy, 5), (last, 3))]
+        # One restart each, so the batch returns every member it fits.
+        models += cp_als_batch([noisy, X, noisy], 4, replace(self.CFG, restarts=1), [1, 2, 3])
+        for model in models:
+            for F in (model.A, model.B):
+                norms = np.linalg.norm(F, axis=0)
+                assert np.max(np.abs(norms[norms > 0] - 1.0), initial=0.0) <= 1e-12
 
     def test_mixed_dims_rejected(self):
         rng = np.random.default_rng(43)

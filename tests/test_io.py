@@ -142,6 +142,14 @@ class TestCsvFormat:
         with pytest.raises(FormatError, match=r"x\.csv:4: index \(1,1,1\) repeats line 2"):
             read_tensor(path)
 
+    @pytest.mark.parametrize("first, second", [("2 2 2", "3 3 3"), ("3 3 3", "2 2 2")])
+    def test_repeated_dims_line_names_both_lines(self, tmp_path, first, second):
+        # As two CSV files concatenated give.
+        path = tmp_path / "x.csv"
+        path.write_text(f"# dims: {first}\n1,1,1,5.0\n# dims: {second}\n2,2,2,1.0\n")
+        with pytest.raises(FormatError, match=r"x\.csv:3: dims line repeats line 1"):
+            read_tensor(path)
+
 
 @pytest.mark.parametrize("name", ["x.tns", "x.txt", "x.csv"])
 def test_dims_argument_must_match_the_file(tmp_path, random_tensor, name):
