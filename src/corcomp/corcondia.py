@@ -89,8 +89,8 @@ def corcondia_sweep(
     Fits are independent, with per-rank seeds derived from ``cfg.seed``,
     so entries could be computed concurrently; output order matches the
     input order.  Every rank is checked against the dims before any fit
-    runs.  A failure at any rank aborts the sweep with the rank attached
-    to the error.
+    runs.  A ``ValueError`` at any rank aborts the sweep as a StepError
+    naming the rank; any other exception is a bug and passes through.
     """
     if not ranks:
         raise ConfigError("ranks must be nonempty")
@@ -101,6 +101,6 @@ def corcondia_sweep(
         try:
             model = cp_als(X, rank, replace(cfg, seed=mix_seed(cfg.seed, rank)))
             reports.append(corcondia(X, model))
-        except Exception as exc:
+        except ValueError as exc:
             raise StepError(f"core consistency sweep failed at rank {rank}: {exc}") from exc
     return reports

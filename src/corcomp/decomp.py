@@ -14,6 +14,7 @@ results are reproducible and independent of scheduling.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -207,13 +208,20 @@ def max_feasible_cp_rank(dims: tuple[int, int, int]) -> int:
     return min(j * k, i * k, i * j)
 
 
+def check_count(value, name: str) -> int:
+    """``value`` as an int; :class:`ConfigError` unless it is an integer >= 1 (numpy's too)."""
+    if not isinstance(value, numbers.Integral) or value < 1:
+        raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
 def check_cp_rank(rank: int, dims: tuple[int, int, int]) -> None:
-    """Raise :class:`ConfigError` unless ``rank`` lies in
+    """Raise :class:`ConfigError` unless ``rank`` is an integer in
     [1, :func:`max_feasible_cp_rank`]."""
     feasible = max_feasible_cp_rank(dims)
-    if not 1 <= rank <= feasible:
+    if not (isinstance(rank, numbers.Integral) and 1 <= rank <= feasible):
         raise ConfigError(
-            f"rank {rank} is infeasible for dims {dims} (must be in [1, {feasible}])"
+            f"rank {rank} is infeasible for dims {dims} (must be an integer in [1, {feasible}])"
         )
 
 
@@ -273,9 +281,7 @@ def cp_als_batch(
     for t, X in enumerate(tensors):
         if X.dims != dims:
             raise ShapeError(f"tensor {t} has dims {X.dims}, tensor 0 has {dims}")
-    R = int(R)
-    if R < 1:
-        raise ValueError(f"R must be >= 1, got {R}")
+    R = check_count(R, "R")
     if R > max_feasible_cp_rank(dims):
         raise ShapeError(
             f"R={R} exceeds the feasible component count "

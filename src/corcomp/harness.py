@@ -11,14 +11,15 @@ Reproducibility: the operator for sample ``s`` of cell ``(scheme,
 ratio)`` is seeded by ``mix_seed(master_seed, scheme.wire_id,
 round(ratio * 10000), s)`` and the CP fit of that sample by
 ``mix_seed(sample_seed, FIT_TAG)``, so any cell or sample can be
-recomputed in isolation: :func:`run_sample` (``corcomp sample``) reruns
-one sample bit for bit.
+recomputed in isolation.  One generator computes every sample: the grid
+reads a whole cell from it, and :func:`run_sample` (``corcomp sample``)
+reads one sample, bit for bit as in the grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from .compress import (
     ratio_to_dims,
     tucker_operator,
 )
-from .decomp import CpModel, FitConfig, cp_als, cp_als_batch, max_feasible_cp_rank
+from .decomp import CpModel, FitConfig, check_count, cp_als, cp_als_batch, max_feasible_cp_rank
 from .errors import ConfigError, StepError
 from .seeding import check_seed, mix_seed
 from .tensor import DenseTensor3
@@ -82,8 +83,7 @@ class ExperimentConfig:
     fit: FitConfig = field(default_factory=FitConfig)
 
     def __post_init__(self) -> None:
-        if self.rank < 1:
-            raise ConfigError(f"rank must be >= 1, got {self.rank}")
+        object.__setattr__(self, "rank", check_count(self.rank, "rank"))
         check_seed(self.master_seed, "master_seed")
         schemes = tuple(Scheme(s) for s in self.schemes)
         if not schemes:
@@ -106,13 +106,12 @@ class ExperimentConfig:
                     "their samples would draw identical operators"
                 )
             seen[bp] = r
-        samples = {Scheme(k): int(v) for k, v in self.samples_per_cell.items()}
+        samples = {Scheme(k): v for k, v in self.samples_per_cell.items()}
         for s in schemes:
-            if samples.get(s, 0) < 1:
-                raise ConfigError(f"samples_per_cell[{s.value}] must be >= 1")
+            check_count(samples.get(s, 0), f"samples_per_cell[{s.value}]")
         object.__setattr__(self, "schemes", schemes)
         object.__setattr__(self, "ratios", ratios)
-        object.__setattr__(self, "samples_per_cell", samples)
+        object.__setattr__(self, "samples_per_cell", {s: int(v) for s, v in samples.items()})
         object.__setattr__(self, "compressed_modes", frozenset(int(m) for m in self.compressed_modes))
 
 
@@ -237,30 +236,21 @@ def _rerun_hint(cfg: ExperimentConfig, scheme: Scheme, ratio: float, index: int)
     )
 
 
-def _sample(
+def _cell_samples(
     X: DenseTensor3, cfg: ExperimentConfig, scheme: Scheme, ratio: float,
-    target: tuple[int, int, int], index: int, shared: DenseTensor3 | None = None,
-) -> tuple[DenseTensor3, int]:
-    """Compressed tensor and CP-fit seed of one sample (``shared``: its Tucker cell's)."""
-    seed = sample_seed(cfg.master_seed, scheme, ratio, index)
-    if shared is None:
-        shared = compress(X, make_operator(X, scheme, target, cfg.fit, seed))
-    return shared, mix_seed(seed, FIT_TAG)
-
-
-def _run_cell(
-    X: DenseTensor3, scheme: Scheme, ratio: float, target: tuple[int, int, int],
-    cfg: ExperimentConfig,
-) -> list[float]:
-    """Raw diagnostic values of one (scheme, ratio) cell, in sample order.
+    target: tuple[int, int, int], indices: range,
+) -> Iterator[tuple[DenseTensor3, CpModel, CorcondiaReport]]:
+    """Compressed tensor, CP model and diagnostic of each sample of
+    ``indices`` in cell ``(scheme, ratio)``, in index order.
 
     Samples run in chunks of about ``BATCH_BYTES`` of compressed data, one
-    :func:`cp_als_batch` call per chunk.  ``tucker3`` ignores its seed, so a
-    Tucker cell compresses once, with sample 0's seed.  A failing step raises
-    :class:`StepError` with its coordinates and the ``corcomp sample`` rerun.
+    :func:`cp_als_batch` call per chunk.  ``tucker3`` ignores its seed, so
+    Tucker samples compress once, with the first index's seed.  A failing
+    step raises :class:`StepError` with its coordinates and the ``corcomp
+    sample`` rerun; exceptions other than ``ValueError`` are bugs and pass
+    through.
     """
-    n = cfg.samples_per_cell[scheme]
-    seeds = [sample_seed(cfg.master_seed, scheme, ratio, s) for s in range(n)]
+    seeds = {s: sample_seed(cfg.master_seed, scheme, ratio, s) for s in indices}
 
     def sample_failed(s: int, exc: Exception) -> StepError:
         return StepError(
@@ -268,47 +258,48 @@ def _run_cell(
             f"(operator seed {seeds[s]}): {exc}" + _rerun_hint(cfg, scheme, ratio, s)
         )
 
-    def sample(s: int, shared: DenseTensor3 | None) -> tuple[DenseTensor3, int]:
+    def compressed(s: int) -> DenseTensor3:
         try:
-            return _sample(X, cfg, scheme, ratio, target, s, shared)
-        except Exception as exc:
+            return compress(X, make_operator(X, scheme, target, cfg.fit, seeds[s]))
+        except ValueError as exc:
             raise sample_failed(s, exc) from exc
 
-    shared = sample(0, None)[0] if scheme is Scheme.TUCKER else None
-    values: list[float] = []
+    shared = compressed(indices.start) if scheme is Scheme.TUCKER else None
     per_batch = max(1, BATCH_BYTES // (8 * int(np.prod(target))))
-    for start in range(0, n, per_batch):
-        chunk = range(start, min(start + per_batch, n))
-        compressed, fit_seeds = zip(*(sample(s, shared) for s in chunk))
+    for start in range(indices.start, indices.stop, per_batch):
+        chunk = range(start, min(start + per_batch, indices.stop))
+        tensors = [compressed(s) if shared is None else shared for s in chunk]
         try:
-            models = cp_als_batch(compressed, cfg.rank, cfg.fit, fit_seeds)
-        except Exception as exc:
+            models = cp_als_batch(tensors, cfg.rank, cfg.fit,
+                                  [mix_seed(seeds[s], FIT_TAG) for s in chunk])
+        except ValueError as exc:
+            if len(chunk) == 1:
+                raise sample_failed(start, exc) from exc
             raise StepError(
-                f"CP fit of samples {chunk.start}-{chunk.stop - 1} of cell ({scheme.value}, "
-                f"{ratio}) failed (sample seeds {seeds[chunk.start:chunk.stop]}): {exc}; each "
-                f"reruns alone with its index in place of --index {chunk.start}"
-                + _rerun_hint(cfg, scheme, ratio, chunk.start)
+                f"CP fit of samples {start}-{chunk.stop - 1} of cell ({scheme.value}, "
+                f"{ratio}) failed (sample seeds {[seeds[s] for s in chunk]}): {exc}; each "
+                f"reruns alone with its index in place of --index {start}"
+                + _rerun_hint(cfg, scheme, ratio, start)
             ) from exc
-        for s, Xc, model in zip(chunk, compressed, models):
+        for s, Xc, model in zip(chunk, tensors, models):
             try:
-                values.append(corcondia(Xc, model).value)
-            except Exception as exc:
+                report = corcondia(Xc, model)
+            except ValueError as exc:
                 raise sample_failed(s, exc) from exc
-    return values
+            yield Xc, model, report
 
 
 def run_sample(
     X: DenseTensor3, cfg: ExperimentConfig, scheme: Scheme, ratio: float, index: int
 ) -> tuple[DenseTensor3, CpModel, CorcondiaReport]:
-    """Sample ``index`` of cell ``(scheme, ratio)`` under ``cfg``, computed alone:
-    its compressed tensor, CP model and diagnostic, bit for bit as in
-    :func:`run_experiment` (a Tucker cell's samples share one compression).
-    An index outside [0, 2^64) is a :class:`ConfigError`: the seed
-    derivation would map it onto a smaller index's streams."""
+    """Sample ``index`` of cell ``(scheme, ratio)`` under ``cfg``, computed alone
+    by the grid's own code: its compressed tensor, CP model and diagnostic,
+    bit for bit as in :func:`run_experiment`.  An index outside [0, 2^64)
+    is a :class:`ConfigError`: the seed derivation would map it onto a
+    smaller index's streams."""
     check_seed(index, "sample index")
-    compressed, fit_seed = _sample(X, cfg, scheme, ratio, _target(X, cfg, ratio), index)
-    model = cp_als(compressed, cfg.rank, replace(cfg.fit, seed=fit_seed))
-    return compressed, model, corcondia(compressed, model)
+    target = _target(X, cfg, ratio)
+    return next(_cell_samples(X, cfg, scheme, ratio, target, range(index, index + 1)))
 
 
 def run_experiment(X: DenseTensor3, cfg: ExperimentConfig) -> ExperimentResult:
@@ -327,7 +318,9 @@ def run_experiment(X: DenseTensor3, cfg: ExperimentConfig) -> ExperimentResult:
     cells: dict[tuple[Scheme, float], CellResult] = {}
     for scheme in cfg.schemes:
         for ratio in cfg.ratios:
-            raw = _run_cell(X, scheme, ratio, targets[ratio], cfg)
+            indices = range(cfg.samples_per_cell[scheme])
+            raw = [report.value for _, _, report in
+                   _cell_samples(X, cfg, scheme, ratio, targets[ratio], indices)]
             clamped = clamp_negatives(raw)
             cells[(scheme, ratio)] = CellResult(
                 scheme=scheme,

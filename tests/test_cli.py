@@ -1,12 +1,14 @@
 import json
 import os
 import stat
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from corcomp import (
+    DenseTensor3,
     FitConfig,
     RatioSpec,
     Scheme,
@@ -16,6 +18,7 @@ from corcomp import (
     read_tensor,
     summarize,
     tucker3,
+    write_tensor,
 )
 from corcomp.cli import cli_main
 from corcomp.harness import sample_seed
@@ -230,6 +233,19 @@ class TestSampleCommand:
             assert code == 0
             assert float(sample_line(out)["value"]) == raw[scheme][index]
 
+    def test_all_zero_tensor_exits_1(self, tmp_path, capsys):
+        src = tmp_path / "zero.tns"
+        write_tensor(DenseTensor3(np.zeros((12, 10, 6))), src)
+        code, out, err = run(
+            ["sample", "--input", str(src), "--scheme", "gaussian", "--ratio", "0.5",
+             "--index", "0"],
+            capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert "all-zero tensor" in err
+        assert "sample 0 of cell (gaussian, 0.5)" in err
+
     @pytest.mark.parametrize("command", ["compress", "decompose"])
     def test_removed_commands_exit_2(self, exact_tensor_file, command, capsys):
         code, out, _ = run([command, "--input", str(exact_tensor_file)], capsys)
@@ -434,6 +450,30 @@ class TestExperimentCommand:
         monkeypatch.setattr(cli, "run_experiment", broken)
         with pytest.raises(NotImplementedError):
             cli.cli_main(self.BASE + ["--input", str(noisy_file)])
+
+    @pytest.mark.parametrize("command", ["experiment", "sample", "corcondia"])
+    def test_bug_in_a_sample_or_rank_keeps_its_traceback(
+        self, noisy_file, command, monkeypatch
+    ):
+        import corcomp.harness as harness
+
+        real_corcondia = harness.corcondia
+
+        def broken(X, model):
+            if command == "experiment" and X.dims == (24, 18, 7):
+                return real_corcondia(X, model)  # the baseline, outside any sample
+            raise NotImplementedError("internal bug")
+
+        monkeypatch.setattr(harness, "corcondia", broken)
+        monkeypatch.setattr(sys.modules["corcomp.corcondia"], "corcondia", broken)
+        argv = {
+            "experiment": self.BASE,
+            "sample": ["sample", "--scheme", "gaussian", "--ratio", "0.5", "--index", "0",
+                       "--max-iter", "20"],
+            "corcondia": ["corcondia", "--ranks", "2", "--max-iter", "20"],
+        }[command]
+        with pytest.raises(NotImplementedError, match="internal bug"):
+            cli_main(argv + ["--input", str(noisy_file)])
 
     def test_missing_input_exits_2(self, capsys):
         code, _, err = run(["experiment", "--rank", "3"], capsys)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from corcomp import (
+    ConfigError,
     DenseTensor3,
     FitConfig,
     ShapeError,
@@ -62,6 +63,15 @@ class TestCpAls:
         X, _ = random_cp_tensor((2, 2, 2), 1, seed=3)
         with pytest.raises(ShapeError):
             cp_als(X, 5, TIGHT)
+
+    def test_fractional_rank_is_rejected_not_truncated(self):
+        X, _ = random_cp_tensor((4, 5, 6), 3, seed=3)
+        with pytest.raises(ValueError, match="2.7"):
+            cp_als(X, 2.7, TIGHT)
+        with pytest.raises(ConfigError, match="2.5"):
+            decomp.check_cp_rank(2.5, X.dims)
+        model = cp_als(X, np.int64(3), replace(TIGHT, max_iterations=20))
+        assert model.A.shape == (4, 3)
 
     def test_best_fit_never_falls_with_more_sweeps(self):
         rng = np.random.default_rng(4)

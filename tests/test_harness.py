@@ -14,6 +14,7 @@ from corcomp import (
     compress,
     corcondia,
     cp_als,
+    make_operator,
     orthonormal_operator,
     run_experiment,
     summarize,
@@ -224,6 +225,17 @@ class TestRunExperiment:
         for key, cell in whole.cells.items():
             assert chunked.cells[key].raw_samples == cell.raw_samples
 
+    def test_rerun_across_a_chunk_boundary(self, small_noisy_tensor, monkeypatch):
+        monkeypatch.setattr(harness, "BATCH_BYTES", 3 * 15 * 10 * 8 * 8)  # 3 samples
+        cfg = small_config()
+        result = run_experiment(small_noisy_tensor, cfg)
+        for scheme, s in ((Scheme.GAUSSIAN, 3), (Scheme.TUCKER, 1)):
+            alone, _, report = harness.run_sample(small_noisy_tensor, cfg, scheme, 0.5, s)
+            assert report.value == result.cells[(scheme, 0.5)].raw_samples[s]
+            seed = sample_seed(cfg.master_seed, scheme, 0.5, s)
+            op = make_operator(small_noisy_tensor, scheme, (15, 10, 8), cfg.fit, seed)
+            assert alone.data.tobytes() == compress(small_noisy_tensor, op).data.tobytes()
+
     def test_failing_sample_names_its_coordinates(self, small_noisy_tensor, monkeypatch):
         cfg = small_config()
         seed = sample_seed(cfg.master_seed, Scheme.ORTHONORMAL, 0.5, 2)
@@ -281,6 +293,16 @@ class TestRunExperiment:
             ExperimentConfig(ratios=())
         with pytest.raises(ConfigError):
             ExperimentConfig(samples_per_cell={Scheme.GAUSSIAN: 0})
+
+    def test_fractional_counts_rejected_not_truncated(self):
+        with pytest.raises(ConfigError, match="rank must be an integer >= 1, got 2.5"):
+            ExperimentConfig(rank=2.5)
+        with pytest.raises(ConfigError, match=r"samples_per_cell\[gaussian\] .* 2.9"):
+            small_config(samples_per_cell={Scheme.GAUSSIAN: 2.9, Scheme.ORTHONORMAL: 4,
+                                           Scheme.TUCKER: 2})
+        cfg = small_config(rank=np.int64(2), samples_per_cell={
+            Scheme.GAUSSIAN: np.int64(4), Scheme.ORTHONORMAL: 4, Scheme.TUCKER: 2})
+        assert type(cfg.rank) is int and type(cfg.samples_per_cell[Scheme.GAUSSIAN]) is int
 
     def test_duplicate_ratio_rejected(self):
         with pytest.raises(ConfigError, match="0.5"):
