@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .decomp import FitConfig, tucker3
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, check_int
 from .tensor import DenseTensor3, _check_target, as_matrix, n_mode_product
 
 __all__ = [
@@ -116,9 +116,9 @@ class RatioSpec:
     def __post_init__(self) -> None:
         if not 0.0 < self.ratio <= 1.0:
             raise ConfigError(f"ratio must lie in (0, 1], got {self.ratio}")
-        modes = frozenset(int(m) for m in self.compressed_modes)
-        if not modes <= {1, 2, 3}:
-            raise ConfigError(f"compressed modes must be a subset of {{1,2,3}}, got {modes}")
+        modes = frozenset(check_int(m, "compressed mode", 1, 3) for m in self.compressed_modes)
+        if not modes:
+            raise ConfigError("compressed modes must be nonempty")
         object.__setattr__(self, "compressed_modes", modes)
 
 
@@ -129,10 +129,11 @@ def ratio_to_dims(dims: tuple[int, int, int], spec: RatioSpec) -> tuple[int, int
     the 28 that ``0.29 * 100 == 28.999999999999996`` would give."""
     out = []
     for mode, d in zip((1, 2, 3), dims):
+        d = check_int(d, "dim")
         if mode in spec.compressed_modes:
             out.append(max(1, math.floor(round(spec.ratio * d, 9))))
         else:
-            out.append(int(d))
+            out.append(d)
     return tuple(out)  # type: ignore[return-value]
 
 

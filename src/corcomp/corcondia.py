@@ -88,14 +88,16 @@ def corcondia_sweep(
 
     Fits are independent, with per-rank seeds derived from ``cfg.seed``,
     so entries could be computed concurrently; output order matches the
-    input order.  Every rank is checked against the dims before any fit
-    runs.  A ``ValueError`` at any rank aborts the sweep as a StepError
-    naming the rank; any other exception is a bug and passes through.
+    input order.  Every rank is checked against the dims and for a repeat
+    before any fit runs.  A ``ValueError`` at any rank aborts the sweep as
+    a StepError naming the rank; any other exception is a bug and passes through.
     """
     if not ranks:
         raise ConfigError("ranks must be nonempty")
-    for rank in ranks:
+    for i, rank in enumerate(ranks):
         check_cp_rank(rank, X.dims)
+        if rank in ranks[:i]:
+            raise ConfigError(f"rank {rank} is listed twice")
     reports = []
     for rank in ranks:
         try:

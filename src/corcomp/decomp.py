@@ -14,13 +14,12 @@ results are reproducible and independent of scheduling.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, check_int
 from .seeding import check_seed
 from .tensor import (
     DenseTensor3,
@@ -59,13 +58,11 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.max_iterations < 1:
-            raise ConfigError("max_iterations must be >= 1")
+        for name in ("max_iterations", "restarts"):
+            object.__setattr__(self, name, check_int(getattr(self, name), name))
         if not 0 < self.rel_tolerance < np.inf:
             raise ConfigError("rel_tolerance must be finite and > 0")
-        if self.restarts < 1:
-            raise ConfigError("restarts must be >= 1")
-        check_seed(self.seed)
+        object.__setattr__(self, "seed", check_seed(self.seed))
 
 
 @dataclass(frozen=True)
@@ -208,21 +205,15 @@ def max_feasible_cp_rank(dims: tuple[int, int, int]) -> int:
     return min(j * k, i * k, i * j)
 
 
-def check_count(value, name: str) -> int:
-    """``value`` as an int; :class:`ConfigError` unless it is an integer >= 1 (numpy's too)."""
-    if not isinstance(value, numbers.Integral) or value < 1:
-        raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
-    return int(value)
-
-
-def check_cp_rank(rank: int, dims: tuple[int, int, int]) -> None:
-    """Raise :class:`ConfigError` unless ``rank`` is an integer in
-    [1, :func:`max_feasible_cp_rank`]."""
+def check_cp_rank(rank: int, dims: tuple[int, int, int]) -> int:
+    """``rank`` as an int; :class:`ConfigError` unless in [1, :func:`max_feasible_cp_rank`]."""
     feasible = max_feasible_cp_rank(dims)
-    if not (isinstance(rank, numbers.Integral) and 1 <= rank <= feasible):
+    try:
+        return check_int(rank, "rank", 1, feasible)
+    except ConfigError:
         raise ConfigError(
-            f"rank {rank} is infeasible for dims {dims} (must be an integer in [1, {feasible}])"
-        )
+            f"rank {rank!r} is infeasible for dims {dims} (must be an integer in [1, {feasible}])"
+        ) from None
 
 
 def cp_als(X: DenseTensor3, R: int, cfg: FitConfig = FitConfig()) -> CpModel:
@@ -272,7 +263,7 @@ def cp_als_batch(
     naming the index of an all-zero tensor.
     """
     tensors = list(tensors)
-    seeds = [int(s) for s in seeds]
+    seeds = [check_seed(s, f"seeds[{t}]") for t, s in enumerate(seeds)]
     if not tensors:
         raise ValueError("cp_als_batch needs at least one tensor")
     if len(seeds) != len(tensors):
@@ -281,7 +272,7 @@ def cp_als_batch(
     for t, X in enumerate(tensors):
         if X.dims != dims:
             raise ShapeError(f"tensor {t} has dims {X.dims}, tensor 0 has {dims}")
-    R = check_count(R, "R")
+    R = check_int(R, "R")
     if R > max_feasible_cp_rank(dims):
         raise ShapeError(
             f"R={R} exceeds the feasible component count "

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and :func:`check_int`, the one rule
+for a count, seed, index, mode or dim: an integer in range, never truncated."""
+
+import numbers
 
 __all__ = ["ShapeError", "FormatError", "ConfigError", "StepError"]
 
@@ -21,3 +24,11 @@ class StepError(RuntimeError):
     The message names the coordinates that rerun the step in isolation;
     the original exception is chained as ``__cause__``.
     """
+
+
+def check_int(value, name: str, lo: int = 1, hi: int | None = None) -> int:
+    """``value`` as an int; :class:`ConfigError` unless an integer (numpy's too) in [lo, hi]."""
+    if not isinstance(value, numbers.Integral) or value < lo or (hi is not None and value > hi):
+        bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise ConfigError(f"{name} must be an integer {bound}, got {value!r}")
+    return int(value)

@@ -35,8 +35,8 @@ from .compress import (
     ratio_to_dims,
     tucker_operator,
 )
-from .decomp import CpModel, FitConfig, check_count, cp_als, cp_als_batch, max_feasible_cp_rank
-from .errors import ConfigError, StepError
+from .decomp import CpModel, FitConfig, cp_als, cp_als_batch, max_feasible_cp_rank
+from .errors import ConfigError, StepError, check_int
 from .seeding import check_seed, mix_seed
 from .tensor import DenseTensor3
 
@@ -83,8 +83,8 @@ class ExperimentConfig:
     fit: FitConfig = field(default_factory=FitConfig)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rank", check_count(self.rank, "rank"))
-        check_seed(self.master_seed, "master_seed")
+        object.__setattr__(self, "rank", check_int(self.rank, "rank"))
+        object.__setattr__(self, "master_seed", check_seed(self.master_seed, "master_seed"))
         schemes = tuple(Scheme(s) for s in self.schemes)
         if not schemes:
             raise ConfigError("schemes must be nonempty")
@@ -96,7 +96,7 @@ class ExperimentConfig:
             raise ConfigError("ratios must be nonempty")
         seen: dict[int, float] = {}
         for r in ratios:
-            RatioSpec(r, self.compressed_modes)  # validates range and modes
+            modes = RatioSpec(r, self.compressed_modes).compressed_modes  # validates r and modes
             bp = _basis_points(r)
             if seen.get(bp) == r:
                 raise ConfigError(f"ratio {r} is listed twice")
@@ -107,12 +107,13 @@ class ExperimentConfig:
                 )
             seen[bp] = r
         samples = {Scheme(k): v for k, v in self.samples_per_cell.items()}
+        samples = {s: check_int(v, f"samples_per_cell[{s.value}]", 0) for s, v in samples.items()}
         for s in schemes:
-            check_count(samples.get(s, 0), f"samples_per_cell[{s.value}]")
+            check_int(samples.get(s, 0), f"samples_per_cell[{s.value}]")
         object.__setattr__(self, "schemes", schemes)
         object.__setattr__(self, "ratios", ratios)
-        object.__setattr__(self, "samples_per_cell", {s: int(v) for s, v in samples.items()})
-        object.__setattr__(self, "compressed_modes", frozenset(int(m) for m in self.compressed_modes))
+        object.__setattr__(self, "samples_per_cell", samples)
+        object.__setattr__(self, "compressed_modes", modes)
 
 
 @dataclass(frozen=True)
@@ -297,7 +298,7 @@ def run_sample(
     bit for bit as in :func:`run_experiment`.  An index outside [0, 2^64)
     is a :class:`ConfigError`: the seed derivation would map it onto a
     smaller index's streams."""
-    check_seed(index, "sample index")
+    index = check_seed(index, "sample index")
     target = _target(X, cfg, ratio)
     return next(_cell_samples(X, cfg, scheme, ratio, target, range(index, index + 1)))
 

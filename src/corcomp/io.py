@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .decomp import check_cp_rank
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, FormatError, check_int
 from .harness import ExperimentResult, SummaryStats
 from .seeding import check_seed
 from .tensor import DenseTensor3, frobenius_norm, reconstruct_cp
@@ -65,11 +65,11 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        dims = tuple(int(d) for d in self.dims)
-        if len(dims) != 3 or min(dims) < 1:
+        if len(self.dims) != 3:
             raise ConfigError(f"dims must be three positive integers, got {self.dims}")
+        dims = tuple(check_int(d, "dim") for d in self.dims)
         object.__setattr__(self, "dims", dims)
-        check_cp_rank(self.rank, dims)
+        object.__setattr__(self, "rank", check_cp_rank(self.rank, dims))
         if not 0 <= self.noise_level < np.inf:
             raise ConfigError("noise_level must be finite and >= 0")
         if self.factor_distribution not in ("uniform", "gaussian"):
@@ -77,7 +77,7 @@ class SynthSpec:
                 f"factor_distribution must be 'uniform' or 'gaussian', "
                 f"got {self.factor_distribution!r}"
             )
-        check_seed(self.seed)
+        object.__setattr__(self, "seed", check_seed(self.seed))
 
 
 def synth_tensor(spec: SynthSpec) -> DenseTensor3:
@@ -150,6 +150,7 @@ def read_tensor(path: str | Path, dims: tuple[int, int, int] | None = None) -> D
     file that states its dims must state the same ones.
     """
     path = Path(path)
+    dims = None if dims is None else tuple(check_int(d, "dim") for d in dims)  # type: ignore
     raw = path.read_bytes()
     if raw[:4] == MAGIC:
         X = _read_binary(raw, path)
@@ -159,9 +160,9 @@ def read_tensor(path: str | Path, dims: tuple[int, int, int] | None = None) -> D
         X = _read_csv(raw.decode(), path, dims)
     else:
         X = _read_text(raw.decode(), path)
-    if dims is not None and tuple(dims) != X.dims:
+    if dims is not None and dims != X.dims:
         raise FormatError(
-            f"{path}: dims argument {tuple(dims)} differs from the file's dims {X.dims}"
+            f"{path}: dims argument {dims} differs from the file's dims {X.dims}"
         )
     return X
 
@@ -257,7 +258,6 @@ def _read_csv(
         raise FormatError(
             f"{path}: CSV input needs dims via a '# dims: I J K' line or the dims argument"
         )
-    use_dims = tuple(int(d) for d in use_dims)  # type: ignore[assignment]
     if len(use_dims) != 3 or min(use_dims) < 1:
         raise FormatError(f"{path}: dims must be three positive integers, got {use_dims}")
     arr = np.zeros(use_dims)

@@ -8,7 +8,7 @@ independent of execution order.
 
 from __future__ import annotations
 
-from .errors import ConfigError
+from .errors import check_int
 
 _MASK64 = (1 << 64) - 1
 
@@ -35,8 +35,6 @@ def mix_seed(*components: int) -> int:
     return h
 
 
-def check_seed(seed: int, name: str = "seed") -> None:
-    """Raise :class:`ConfigError` unless ``seed`` lies in [0, 2^64), where
-    :func:`mix_seed` maps distinct seeds to distinct streams."""
-    if not 0 <= seed <= _MASK64:
-        raise ConfigError(f"{name} must lie in [0, 2**64), got {seed}")
+def check_seed(seed: int, name: str = "seed") -> int:
+    """``seed`` as an int in [0, 2^64), where :func:`mix_seed` keeps distinct seeds apart."""
+    return check_int(seed, name, 0, _MASK64)

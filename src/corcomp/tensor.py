@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ShapeError, check_int
 
 __all__ = [
     "DenseTensor3",
@@ -90,7 +90,7 @@ class DenseTensor3:
     @classmethod
     def from_flat(cls, values: Sequence[float], dims: tuple[int, int, int]) -> "DenseTensor3":
         """Build a tensor from mode-1-fastest flat values (see layout contract)."""
-        i, j, k = (int(d) for d in dims)
+        i, j, k = (check_int(d, "dim") for d in dims)
         flat = np.asarray(values, dtype=np.float64).ravel()
         if flat.size != i * j * k:
             raise ShapeError(
@@ -145,7 +145,7 @@ def fold(M, mode: int, dims: tuple[int, int, int]) -> DenseTensor3:
     """Inverse of :func:`unfold`: rebuild the tensor with the given dims."""
     _check_mode(mode)
     arr = as_matrix(M, "unfolding")
-    dims = tuple(int(d) for d in dims)  # type: ignore[assignment]
+    dims = tuple(check_int(d, "dim") for d in dims)  # type: ignore[assignment]
     rest = [dims[m - 1] for m in _MODES if m != mode]
     expected = (dims[mode - 1], rest[0] * rest[1])
     if arr.shape != expected:
@@ -185,9 +185,7 @@ def frobenius_norm(X: DenseTensor3) -> float:
 
 def superdiagonal_identity(R: int) -> DenseTensor3:
     """R x R x R tensor with ones where i == j == k and zeros elsewhere."""
-    R = int(R)
-    if R < 1:
-        raise ValueError(f"R must be >= 1, got {R}")
+    R = check_int(R, "R")
     arr = np.zeros((R, R, R))
     idx = np.arange(R)
     arr[idx, idx, idx] = 1.0
@@ -204,13 +202,11 @@ def _check_factor_columns(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> int:
 
 
 def _check_target(dims, target) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
-    dims = tuple(int(d) for d in dims)
-    target = tuple(int(t) for t in target)
     if len(dims) != 3 or len(target) != 3:
         raise ShapeError("dims and target must be triples")
+    dims = tuple(check_int(d, "dim") for d in dims)
+    target = tuple(check_int(t, "target dim") for t in target)
     for mode, (t, d) in enumerate(zip(target, dims), start=1):
-        if t < 1:
-            raise ShapeError(f"target mode-{mode} size must be >= 1, got {t}")
         if t > d:
             raise ShapeError(f"target mode-{mode} size {t} exceeds source size {d}")
     return dims, target

@@ -544,6 +544,7 @@ class TestErrorPaths:
             ["sample", "--scheme", "gaussian", "--ratio", "0.5", "--index", "-1"],
             ["sample", "--scheme", "gaussian", "--ratio", "0.5", "--index", str(2**64)],
             [*SAMPLE, "--modes", "4"],
+            ["corcondia", "--ranks", "2", "3", "2"],
         ],
     )
     def test_out_of_range_settings_exit_2(self, tmp_path, argv, capsys):

@@ -178,8 +178,9 @@ class TestSweep:
 
         monkeypatch.setattr(corcondia_mod, "cp_als", no_fit)
         X, _ = random_cp((4, 4, 4), 2, seed=17)
-        for ranks in ([0], [2, 17]):
-            with pytest.raises(ConfigError, match=f"rank {ranks[-1]} is infeasible"):
+        for ranks, why in (([0], "infeasible"), ([2, 17], "infeasible"),
+                           ([2, 3, 2], "listed twice")):
+            with pytest.raises(ConfigError, match=f"rank {ranks[-1]} is {why}"):
                 corcondia_sweep(X, ranks)
 
     def test_empty_ranks(self):

@@ -1,5 +1,6 @@
 from dataclasses import replace
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -12,11 +13,14 @@ from corcomp import (
     SynthSpec,
     compress,
     cp_als,
+    fold,
     frobenius_norm,
+    gaussian_operator,
     orthonormal_operator,
     pseudoinverse,
     reconstruct_cp,
     reconstruct_tucker,
+    superdiagonal_identity,
     synth_tensor,
     tucker3,
     tucker_operator,
@@ -72,6 +76,32 @@ class TestCpAls:
             decomp.check_cp_rank(2.5, X.dims)
         model = cp_als(X, np.int64(3), replace(TIGHT, max_iterations=20))
         assert model.A.shape == (4, 3)
+
+        # Every integer setting of a fit and every shape argument:
+        # (name, fractional value, numpy value, build, the stored value or None).
+        short = replace(TIGHT, max_iterations=5)
+        rows = [
+            ("max_iterations", 2.5, 20, lambda v: FitConfig(max_iterations=v),
+             lambda c: c.max_iterations),
+            ("restarts", 1.5, 2, lambda v: FitConfig(restarts=v), lambda c: c.restarts),
+            ("seed", 1.7, 1, lambda v: FitConfig(seed=v), lambda c: c.seed),
+            ("seeds[0]", 2.7, 2, lambda v: cp_als_batch([X], 2, short, [v]), None),
+            ("R", 2.7, 2, lambda v: cp_als(X, v, short), None),
+            ("rank", 2.5, 2, lambda v: decomp.check_cp_rank(v, X.dims), lambda r: r),
+            ("R", 2.5, 2, superdiagonal_identity, lambda G: G.dims[0]),
+            ("target dim", 5.9, 5, lambda v: gaussian_operator((12, 10, 6), (v, 5, 6), 0),
+             lambda op: op.target_dims[0]),
+            ("dim", 2.5, 2, lambda v: DenseTensor3.from_flat(range(8), (v, 4, 1)),
+             lambda T: T.dims[0]),
+            ("dim", 2.5, 2, lambda v: fold(np.zeros((2, 4)), 1, (v, 2, 2)),
+             lambda T: T.dims[0]),
+        ]
+        for name, fractional, whole, build, stored in rows:
+            with pytest.raises(ConfigError, match=f"{re.escape(name)} .*{fractional}"):
+                build(fractional)
+            out = build(np.int64(whole))
+            if stored is not None:
+                assert type(stored(out)) is int and stored(out) == whole, name
 
     def test_best_fit_never_falls_with_more_sweeps(self):
         rng = np.random.default_rng(4)

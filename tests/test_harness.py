@@ -1,3 +1,4 @@
+import re
 import sys
 
 import numpy as np
@@ -7,6 +8,7 @@ from corcomp import (
     ConfigError,
     ExperimentConfig,
     FitConfig,
+    RatioSpec,
     Scheme,
     StepError,
     SynthSpec,
@@ -14,9 +16,13 @@ from corcomp import (
     compress,
     corcondia,
     cp_als,
+    experiment_to_json,
     make_operator,
     orthonormal_operator,
+    ratio_to_dims,
+    read_tensor,
     run_experiment,
+    run_sample,
     summarize,
     synth_tensor,
     tucker_operator,
@@ -293,8 +299,10 @@ class TestRunExperiment:
             ExperimentConfig(ratios=())
         with pytest.raises(ConfigError):
             ExperimentConfig(samples_per_cell={Scheme.GAUSSIAN: 0})
+        with pytest.raises(ConfigError, match="compressed modes must be nonempty"):
+            ExperimentConfig(compressed_modes=frozenset())
 
-    def test_fractional_counts_rejected_not_truncated(self):
+    def test_fractional_counts_rejected_not_truncated(self, small_noisy_tensor, tmp_path):
         with pytest.raises(ConfigError, match="rank must be an integer >= 1, got 2.5"):
             ExperimentConfig(rank=2.5)
         with pytest.raises(ConfigError, match=r"samples_per_cell\[gaussian\] .* 2.9"):
@@ -303,6 +311,53 @@ class TestRunExperiment:
         cfg = small_config(rank=np.int64(2), samples_per_cell={
             Scheme.GAUSSIAN: np.int64(4), Scheme.ORTHONORMAL: 4, Scheme.TUCKER: 2})
         assert type(cfg.rank) is int and type(cfg.samples_per_cell[Scheme.GAUSSIAN]) is int
+
+        # Every integer setting of a grid, a sample and an input tensor:
+        # (name, fractional value, numpy value, build, the stored value or None).
+        csv = tmp_path / "one.csv"
+        csv.write_text("1,1,1,1.0\n")
+        counts = {Scheme.ORTHONORMAL: 4, Scheme.TUCKER: 2}
+        rows = [
+            ("rank", 2.5, 2, lambda v: small_config(rank=v), lambda c: c.rank),
+            ("master_seed", 2.5, 3, lambda v: small_config(master_seed=v),
+             lambda c: c.master_seed),
+            ("samples_per_cell[gaussian]", 2.9, 4,
+             lambda v: small_config(samples_per_cell={Scheme.GAUSSIAN: v, **counts}),
+             lambda c: c.samples_per_cell[Scheme.GAUSSIAN]),
+            ("compressed mode", 1.9, 1, lambda v: small_config(compressed_modes={v, 2}),
+             lambda c: min(c.compressed_modes)),
+            ("compressed mode", 1.5, 1, lambda v: RatioSpec(0.5, {v}),
+             lambda spec: min(spec.compressed_modes)),
+            ("dim", 6.5, 6, lambda v: ratio_to_dims((12, 10, v), RatioSpec(0.5)),
+             lambda dims: dims[2]),
+            ("sample index", 2.5, 2,
+             lambda v: run_sample(small_noisy_tensor, small_config(), Scheme.GAUSSIAN, 0.5, v),
+             None),
+            ("seed", 1.5, 1, lambda v: SynthSpec((4, 4, 4), 2, seed=v), lambda spec: spec.seed),
+            ("dim", 12.7, 12, lambda v: SynthSpec((v, 10, 6), 2), lambda spec: spec.dims[0]),
+            ("rank", 2.5, 2, lambda v: SynthSpec((4, 4, 4), v), lambda spec: spec.rank),
+            ("dim", 2.5, 2, lambda v: read_tensor(csv, dims=(v, 1, 1)), lambda X: X.dims[0]),
+        ]
+        for name, fractional, whole, build, stored in rows:
+            with pytest.raises(ConfigError, match=f"{re.escape(name)} .*{fractional}"):
+                build(fractional)
+            out = build(np.int64(whole))
+            if stored is not None:
+                assert type(stored(out)) is int and stored(out) == whole, name
+
+    def test_numpy_integer_settings_round_trip_to_json(self):
+        X = synth_tensor(SynthSpec(dims=(12, 10, 6), rank=2, noise_level=0.05, seed=0))
+
+        def grid(n):
+            return run_experiment(X, ExperimentConfig(
+                rank=n(2), ratios=(0.5,), master_seed=n(5),
+                samples_per_cell={Scheme.GAUSSIAN: n(2), Scheme.ORTHONORMAL: n(2),
+                                  Scheme.TUCKER: n(1)},
+                fit=FitConfig(max_iterations=n(30), rel_tolerance=1e-7, restarts=n(2),
+                              seed=n(9)),
+            ))
+
+        assert experiment_to_json(grid(np.int64)) == experiment_to_json(grid(int))
 
     def test_duplicate_ratio_rejected(self):
         with pytest.raises(ConfigError, match="0.5"):
