@@ -6,8 +6,8 @@ applied as n-mode products, giving the compressed tensor
 provided:
 
 * ``gaussian``: i.i.d. standard normal entries (rows not orthonormal),
-* ``orthonormal``: Q-transpose from the reduced QR of a Gaussian draw's
-  transpose, giving orthonormal rows,
+* ``orthonormal``: the ``gaussian`` operator of the same seed with its
+  rows orthonormalized (reduced QR), so both span the same rowspaces,
 * ``tucker``: transposes of fitted Tucker factors, so the compressed
   tensor equals the fitted Tucker core.
 
@@ -27,7 +27,7 @@ import numpy as np
 
 from .decomp import FitConfig, tucker3
 from .errors import ConfigError, ShapeError, check_int
-from .tensor import DenseTensor3, _check_target, as_matrix, n_mode_product
+from .tensor import DenseTensor3, _check_target, _multilinear, as_matrix
 
 __all__ = [
     "Scheme",
@@ -159,19 +159,14 @@ def orthonormal_operator(
 ) -> CompressionOperator:
     """Operator with orthonormal rows spanning a random subspace.
 
-    For each mode a Gaussian L x I matrix G is drawn (modes in order,
-    same stream discipline as :func:`gaussian_operator`) and the factor
-    is the transpose of the Q from the reduced QR of G-transpose, so the
-    rowspace coincides with G's rowspace.
+    Each factor is the transpose of the Q from the reduced QR of the
+    transpose of the same mode's matrix G of
+    ``gaussian_operator(dims, target, seed)``, so an orthonormal sample
+    spans exactly the rowspaces of the Gaussian sample of the same seed.
     """
-    dims, target = _check_target(dims, target)
-    rng = np.random.default_rng(seed)
-    mats = []
-    for t, d in zip(target, dims):
-        G = rng.standard_normal((t, d))
-        Q, _ = np.linalg.qr(G.T)
-        mats.append(Q.T)
-    return CompressionOperator(U=mats[0], V=mats[1], W=mats[2], scheme=Scheme.ORTHONORMAL)
+    gauss = gaussian_operator(dims, target, seed)
+    U, V, W = (np.linalg.qr(G.T)[0].T for G in (gauss.U, gauss.V, gauss.W))
+    return CompressionOperator(U=U, V=V, W=W, scheme=Scheme.ORTHONORMAL)
 
 
 def tucker_operator(
@@ -186,19 +181,24 @@ def tucker_operator(
     return CompressionOperator(U=model.A.T, V=model.B.T, W=model.C.T, scheme=Scheme.TUCKER)
 
 
-def compress(X: DenseTensor3, op: CompressionOperator) -> DenseTensor3:
-    """Apply the operator: ``X x1 U x2 V x3 W`` (modes in order 1, 2, 3)."""
+def _check_source(X: DenseTensor3, op: CompressionOperator) -> None:
     if op.source_dims != X.dims:
         raise ShapeError(
             f"operator source dims {op.source_dims} do not match tensor dims {X.dims}"
         )
-    out = n_mode_product(X, op.U, 1)
-    out = n_mode_product(out, op.V, 2)
-    return n_mode_product(out, op.W, 3)
+
+
+def compress(X: DenseTensor3, op: CompressionOperator) -> DenseTensor3:
+    """Apply the operator: ``X x1 U x2 V x3 W``, one multilinear product
+    (modes in order 1, 2, 3) and one tensor for the result."""
+    _check_source(X, op)
+    return DenseTensor3(_multilinear(X.data, (op.U, op.V, op.W)))
 
 
 def project_onto_rowspaces(X: DenseTensor3, op: CompressionOperator) -> DenseTensor3:
-    """Project X onto the operator rowspaces: ``X x1 U'U x2 V'V x3 W'W``.
+    """Project X onto the operator rowspaces: ``X x1 U'U x2 V'V x3 W'W``,
+    the same multilinear product as :func:`compress` with each mode's
+    projector ``M'M`` in place of ``M``.
 
     Only valid for operators with orthonormal rows (the formula is the
     orthogonal projector in each mode); the projection is idempotent and
@@ -210,11 +210,5 @@ def project_onto_rowspaces(X: DenseTensor3, op: CompressionOperator) -> DenseTen
         raise ValueError(
             "projection requires orthonormal rows; gaussian operators do not have them"
         )
-    if op.source_dims != X.dims:
-        raise ShapeError(
-            f"operator source dims {op.source_dims} do not match tensor dims {X.dims}"
-        )
-    out = X
-    for mode, M in zip((1, 2, 3), (op.U, op.V, op.W)):
-        out = n_mode_product(out, M.T @ M, mode)
-    return out
+    _check_source(X, op)
+    return DenseTensor3(_multilinear(X.data, [M.T @ M for M in (op.U, op.V, op.W)]))

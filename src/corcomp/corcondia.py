@@ -11,10 +11,10 @@ reports
     (1 - ||I - G||^2 / ||I||^2) * 100.
 
 Values near 100 indicate the trilinear model is appropriate; values near
-zero or below indicate overfactoring.  The three pseudoinverse mode
-products give the minimum-norm solution of
+zero or below indicate overfactoring.  The core is one multilinear
+product by the factors' pseudoinverses, the minimum-norm solution of
 ``argmin_G ||X - G x1 A x2 B x3 C||`` without materializing the Kronecker
-system.
+system.  A core or value that overflows is a ``ValueError``, not a value.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from .seeding import mix_seed
 from .tensor import (
     DenseTensor3,
     _check_factor_columns,
+    _multilinear,
     as_matrix,
-    n_mode_product,
     superdiagonal_identity,
 )
 
@@ -57,8 +57,9 @@ class CorcondiaReport:
 
 
 def corcondia_from_factors(X: DenseTensor3, A, B, C) -> CorcondiaReport:
-    """Diagnostic for explicit factor matrices (no fitting involved),
-    from the minimum-norm least-squares core and one SVD per factor."""
+    """Diagnostic for explicit factor matrices (no fitting involved), from
+    one SVD per factor and one multilinear product for the minimum-norm
+    least-squares core; ``ValueError`` if the core or value overflows."""
     Am, Bm, Cm = as_matrix(A, "A"), as_matrix(B, "B"), as_matrix(C, "C")
     R = _check_factor_columns(Am, Bm, Cm)
     if (Am.shape[0], Bm.shape[0], Cm.shape[0]) != X.dims:
@@ -66,14 +67,13 @@ def corcondia_from_factors(X: DenseTensor3, A, B, C) -> CorcondiaReport:
             f"factor row counts {(Am.shape[0], Bm.shape[0], Cm.shape[0])} "
             f"do not match tensor dims {X.dims}"
         )
-    core, deficient = X, False
-    for mode, F in zip((1, 2, 3), (Am, Bm, Cm)):
-        inv, rank = pseudoinverse_and_rank(F)
-        core = n_mode_product(core, inv, mode)
-        deficient |= rank < R
+    invs, ranks = zip(*(pseudoinverse_and_rank(F) for F in (Am, Bm, Cm)))
+    core = DenseTensor3(_multilinear(X.data, invs))
     ident = superdiagonal_identity(R)
     value = (1.0 - float(np.sum((ident.data - core.data) ** 2)) / R) * 100.0
-    return CorcondiaReport(value=value, core=core, rank=R, factor_rank_deficient=deficient)
+    if not np.isfinite(value):
+        raise ValueError(f"core consistency is {value}: the core's distance from I overflows")
+    return CorcondiaReport(value=value, core=core, rank=R, factor_rank_deficient=min(ranks) < R)
 
 
 def corcondia(X: DenseTensor3, model: CpModel) -> CorcondiaReport:

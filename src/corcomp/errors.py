@@ -27,8 +27,9 @@ class StepError(RuntimeError):
 
 
 def check_int(value, name: str, lo: int = 1, hi: int | None = None) -> int:
-    """``value`` as an int; :class:`ConfigError` unless an integer (numpy's too) in [lo, hi]."""
-    if not isinstance(value, numbers.Integral) or value < lo or (hi is not None and value > hi):
+    """``value`` as an int; :class:`ConfigError` unless a non-bool Integral in [lo, hi]."""
+    integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if not integral or value < lo or (hi is not None and value > hi):
         bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
         raise ConfigError(f"{name} must be an integer {bound}, got {value!r}")
     return int(value)

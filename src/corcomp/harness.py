@@ -106,10 +106,8 @@ class ExperimentConfig:
                     "their samples would draw identical operators"
                 )
             seen[bp] = r
-        samples = {Scheme(k): v for k, v in self.samples_per_cell.items()}
-        samples = {s: check_int(v, f"samples_per_cell[{s.value}]", 0) for s, v in samples.items()}
-        for s in schemes:
-            check_int(samples.get(s, 0), f"samples_per_cell[{s.value}]")
+        given = {Scheme(k): v for k, v in self.samples_per_cell.items()}
+        samples = {s: check_int(given.get(s, 0), f"samples_per_cell[{s.value}]") for s in schemes}
         object.__setattr__(self, "schemes", schemes)
         object.__setattr__(self, "ratios", ratios)
         object.__setattr__(self, "samples_per_cell", samples)

@@ -178,6 +178,14 @@ def _mode_product(data: np.ndarray, Z: np.ndarray, mode: int) -> np.ndarray:
     return np.moveaxis(np.tensordot(Z, data, axes=(1, mode - 1)), 0, mode - 1)
 
 
+def _multilinear(data: np.ndarray, mats) -> np.ndarray:
+    """``data x1 mats[0] x2 mats[1] x3 mats[2]``: :func:`_mode_product` in modes 1, 2, 3,
+    unchecked and with no copy in between; the result is a view, which is not copied."""
+    for mode, Z in zip(_MODES, mats):
+        data = _mode_product(data, Z, mode)
+    return data
+
+
 def frobenius_norm(X: DenseTensor3) -> float:
     """Square root of the sum of squared entries."""
     return float(np.linalg.norm(X.data.ravel()))
@@ -225,13 +233,11 @@ def reconstruct_cp(A, B, C) -> DenseTensor3:
 
 
 def reconstruct_tucker(G: DenseTensor3, A, B, C) -> DenseTensor3:
-    """Dense tensor of the Tucker model: core times factors in each mode."""
+    """Dense tensor of the Tucker model: ``G x1 A x2 B x3 C``."""
     Am, Bm, Cm = as_matrix(A, "A"), as_matrix(B, "B"), as_matrix(C, "C")
     expected = (Am.shape[1], Bm.shape[1], Cm.shape[1])
     if G.dims != expected:
         raise ShapeError(
             f"core dims {G.dims} do not match factor column counts {expected}"
         )
-    out = n_mode_product(G, Am, 1)
-    out = n_mode_product(out, Bm, 2)
-    return n_mode_product(out, Cm, 3)
+    return DenseTensor3(_multilinear(G.data, (Am, Bm, Cm)))

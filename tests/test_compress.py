@@ -102,11 +102,15 @@ class TestOrthonormalOperator:
         # same seed and draw order as the documented construction
         dims, target = (30, 20, 10), (12, 8, 4)
         op = orthonormal_operator(dims, target, seed=6)
+        gauss = gaussian_operator(dims, target, seed=6)
         rng = np.random.default_rng(6)
-        for M, (t, d) in zip((op.U, op.V, op.W), zip(target, dims)):
+        for M, N, (t, d) in zip((op.U, op.V, op.W), (gauss.U, gauss.V, gauss.W),
+                                zip(target, dims)):
             G = rng.standard_normal((t, d))
             projector = G.T @ np.linalg.inv(G @ G.T) @ G
             assert np.max(np.abs(M.T @ M - projector)) <= 1e-10
+            # exactly the orthonormalized gaussian draw of the same seed
+            assert np.array_equal(M, np.linalg.qr(N.T)[0].T)
 
 
 class TestTuckerOperator:

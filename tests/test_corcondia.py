@@ -126,6 +126,17 @@ class TestDiagnostic:
         assert report.factor_rank_deficient
         assert np.isfinite(report.value)
 
+    def test_overflow_is_an_error_not_a_value(self):
+        rng = np.random.default_rng(15)
+        X = DenseTensor3(rng.standard_normal((6, 5, 4)))
+        A, B, C = (rng.standard_normal((d, 2)) for d in X.dims)
+        # At 1e-60 the core (about 1e180) is finite but its squared distance
+        # from the identity overflows; at 1e-110 the core itself overflows.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for scale, message in ((1e-60, "core consistency is -inf"), (1e-110, "finite")):
+                with pytest.raises(ValueError, match=message):
+                    corcondia_from_factors(X, A * scale, B * scale, C * scale)
+
     def test_one_svd_per_factor(self, monkeypatch):
         X, (A, B, C) = random_cp((4, 5, 6), 2, seed=14)
         calls = []

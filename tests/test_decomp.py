@@ -97,8 +97,9 @@ class TestCpAls:
              lambda T: T.dims[0]),
         ]
         for name, fractional, whole, build, stored in rows:
-            with pytest.raises(ConfigError, match=f"{re.escape(name)} .*{fractional}"):
-                build(fractional)
+            for bad in (fractional, True):  # a bool is not a count
+                with pytest.raises(ConfigError, match=f"{re.escape(name)} .*{bad}"):
+                    build(bad)
             out = build(np.int64(whole))
             if stored is not None:
                 assert type(stored(out)) is int and stored(out) == whole, name

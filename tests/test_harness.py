@@ -1,3 +1,4 @@
+import json
 import re
 import sys
 
@@ -339,8 +340,9 @@ class TestRunExperiment:
             ("dim", 2.5, 2, lambda v: read_tensor(csv, dims=(v, 1, 1)), lambda X: X.dims[0]),
         ]
         for name, fractional, whole, build, stored in rows:
-            with pytest.raises(ConfigError, match=f"{re.escape(name)} .*{fractional}"):
-                build(fractional)
+            for bad in (fractional, True):  # a bool is not a count
+                with pytest.raises(ConfigError, match=f"{re.escape(name)} .*{bad}"):
+                    build(bad)
             out = build(np.int64(whole))
             if stored is not None:
                 assert type(stored(out)) is int and stored(out) == whole, name
@@ -358,6 +360,12 @@ class TestRunExperiment:
             ))
 
         assert experiment_to_json(grid(np.int64)) == experiment_to_json(grid(int))
+
+    def test_json_records_only_the_listed_schemes_counts(self, small_noisy_tensor):
+        cfg = small_config(schemes=(Scheme.GAUSSIAN,),
+                           samples_per_cell={Scheme.GAUSSIAN: 2, Scheme.TUCKER: 7})
+        doc = json.loads(experiment_to_json(run_experiment(small_noisy_tensor, cfg)))
+        assert doc["config"]["samples_per_cell"] == {"gaussian": 2}
 
     def test_duplicate_ratio_rejected(self):
         with pytest.raises(ConfigError, match="0.5"):
