@@ -26,7 +26,7 @@ from .compress import DEFAULT_MODES, Scheme
 from .corcondia import corcondia_sweep
 from .decomp import FitConfig
 from .errors import ConfigError, FormatError, ShapeError, StepError
-from .harness import ExperimentConfig, run_experiment, run_sample
+from .harness import TUCKER_TOLERANCE, ExperimentConfig, run_experiment, run_sample
 from .io import (
     SynthSpec,
     _atomic_write,
@@ -44,7 +44,9 @@ def _add_fit_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-iter", type=int, default=FitConfig.max_iterations,
                    dest="max_iter", help="iteration cap per fit (default %(default)s)")
     p.add_argument("--tol", type=float, default=FitConfig.rel_tolerance,
-                   help="relative fit-change stopping tolerance (default %(default)s)")
+                   help="relative fit-change stopping tolerance of the CP fits; the "
+                        f"Tucker scheme's HOOI stops at {TUCKER_TOLERANCE:.0e} "
+                        "(default %(default)s)")
 
 
 def _add_input_flags(p: argparse.ArgumentParser) -> None:

@@ -27,6 +27,7 @@ import numpy as np
 
 from .decomp import FitConfig, tucker3
 from .errors import ConfigError, ShapeError, check_int
+from .seeding import check_seed
 from .tensor import DenseTensor3, _check_target, _multilinear, as_matrix
 
 __all__ = [
@@ -146,10 +147,11 @@ def gaussian_operator(
     stream, so identical arguments reproduce the operator bitwise.
     Entries are used as drawn, with no variance normalization; the core
     consistency of an exactly trilinear tensor is insensitive to the
-    resulting global scale.
+    resulting global scale.  A seed outside [0, 2^64) or not an integer
+    is a :class:`ConfigError`.
     """
     dims, target = _check_target(dims, target)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     U, V, W = (rng.standard_normal((t, d)) for t, d in zip(target, dims))
     return CompressionOperator(U=U, V=V, W=W, scheme=Scheme.GAUSSIAN)
 

@@ -3,6 +3,7 @@ import pytest
 
 from corcomp import (
     CompressionOperator,
+    ConfigError,
     DenseTensor3,
     FitConfig,
     RatioSpec,
@@ -82,6 +83,17 @@ class TestGaussianOperator:
     def test_target_exceeding_dims(self):
         with pytest.raises(ShapeError):
             gaussian_operator((5, 5, 5), (6, 5, 5), seed=0)
+
+    @pytest.mark.parametrize("seed", [True, 2.0, -1, 2**64, 2**70])
+    def test_rejects_a_seed_that_is_not_a_64_bit_integer(self, seed):
+        for make in (gaussian_operator, orthonormal_operator):
+            with pytest.raises(ConfigError, match="seed"):
+                make((5, 5, 5), (3, 3, 3), seed)
+
+    def test_numpy_integer_seed_draws_as_int(self):
+        a = gaussian_operator((5, 5, 5), (3, 3, 3), np.uint64(2**64 - 1))
+        b = gaussian_operator((5, 5, 5), (3, 3, 3), 2**64 - 1)
+        assert a.U.tobytes() == b.U.tobytes()
 
 
 class TestOrthonormalOperator:

@@ -1,6 +1,7 @@
 import json
 import re
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from corcomp import (
     run_sample,
     summarize,
     synth_tensor,
-    tucker_operator,
+    tucker3,
 )
 import corcomp.harness as harness
 from corcomp.harness import FIT_TAG, sample_seed
@@ -140,15 +141,13 @@ class TestRunExperiment:
         seed = sample_seed(cfg.master_seed, Scheme.ORTHONORMAL, 0.5, s)
         op = orthonormal_operator(small_noisy_tensor.dims, (15, 10, 8), seed)
         compressed = compress(small_noisy_tensor, op)
-        from dataclasses import replace
-
         model = cp_als(compressed, 3, replace(cfg.fit, seed=mix_seed(seed, FIT_TAG)))
         assert corcondia(compressed, model).value == cell.raw_samples[s]
 
         tucker_cell = result.cells[(Scheme.TUCKER, 0.5)]
         s = 1
         seed = sample_seed(cfg.master_seed, Scheme.TUCKER, 0.5, s)
-        op = tucker_operator(small_noisy_tensor, (15, 10, 8), replace(cfg.fit, seed=seed))
+        op = make_operator(small_noisy_tensor, Scheme.TUCKER, (15, 10, 8), cfg.fit, seed)
         compressed = compress(small_noisy_tensor, op)
         model = cp_als(compressed, 3, replace(cfg.fit, seed=mix_seed(seed, FIT_TAG)))
         assert corcondia(compressed, model).value == tucker_cell.raw_samples[s]
@@ -214,6 +213,19 @@ class TestRunExperiment:
         result = run_experiment(small_noisy_tensor, cfg)
         assert calls == [(15, 10, 8), (6, 4, 8)]
         assert all(cell.stats.n == 3 for cell in result.cells.values())
+
+    def test_tucker_operator_ignores_the_cp_tolerance(self, small_noisy_tensor):
+        # The grid's HOOI stops at TUCKER_TOLERANCE whatever the CP fits'
+        # tolerance, while tucker3 itself keeps honouring its config's.
+        target = (15, 10, 8)
+        ops, sweeps = [], []
+        for tol in (1e-7, 1e-12):
+            fit = replace(FAST_FIT, rel_tolerance=tol)
+            ops.append(make_operator(small_noisy_tensor, Scheme.TUCKER, target, fit, 5))
+            sweeps.append(tucker3(small_noisy_tensor, target, fit).iterations)
+        for a, b in zip((ops[0].U, ops[0].V, ops[0].W), (ops[1].U, ops[1].V, ops[1].W)):
+            assert a.tobytes() == b.tobytes()
+        assert sweeps[0] != sweeps[1]
 
     def test_chunked_fits_change_no_result(self, small_noisy_tensor, monkeypatch):
         cfg = small_config()

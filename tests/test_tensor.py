@@ -56,6 +56,25 @@ class TestDenseTensor3:
         with pytest.raises(ValueError):
             cube222.data[0, 0, 0] = 9.0
 
+    def test_array_copies_and_asarray_shares(self, random345):
+        copied = np.array(random345)
+        assert copied.flags.writeable
+        assert not np.shares_memory(copied, random345.data)
+        assert np.array_equal(copied, random345.data)
+        shared = np.asarray(random345)
+        assert not shared.flags.writeable
+        assert np.shares_memory(shared, random345.data)
+        assert np.shares_memory(np.asarray(random345, dtype=np.float64, copy=False),
+                                random345.data)
+
+    def test_array_dtype_casts(self, random345):
+        for cast in (np.array(random345, dtype=np.float32),
+                     np.asarray(random345, dtype=np.float32)):
+            assert cast.dtype == np.float32 and cast.flags.writeable
+            assert np.array_equal(cast, random345.data.astype(np.float32))
+        with pytest.raises(ValueError):
+            np.asarray(random345, dtype=np.float32, copy=False)
+
 
 class TestFibers:
     def test_fiber_equals_unfolding_column(self, random345):
