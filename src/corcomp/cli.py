@@ -42,7 +42,7 @@ def _add_fit_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--restarts", type=int, default=FitConfig.restarts,
                    help="random initializations per fit (default %(default)s)")
     p.add_argument("--max-iter", type=int, default=FitConfig.max_iterations,
-                   dest="max_iter", help="iteration cap per fit (default %(default)s)")
+                   dest="max_iter", help="iteration cap per CP fit (default %(default)s)")
     p.add_argument("--tol", type=float, default=FitConfig.rel_tolerance,
                    help="relative fit-change stopping tolerance of the CP fits; the "
                         f"Tucker scheme's HOOI stops at {TUCKER_TOLERANCE:.0e} "

@@ -11,10 +11,10 @@ provided:
 * ``tucker``: transposes of fitted Tucker factors, so the compressed
   tensor equals the fitted Tucker core.
 
-For operators with orthonormal rows, ``project_onto_rowspaces`` computes
-``X x1 U'U x2 V'V x3 W'W``, the projection of X onto the three rowspaces;
-compression is lossless for the core consistency diagnostic exactly when
-this projection leaves X unchanged.
+For any operator with orthonormal rows, ``project_onto_rowspaces``
+computes ``X x1 U'U x2 V'V x3 W'W``, the projection of X onto the three
+rowspaces; compression is lossless for the core consistency diagnostic
+exactly when this projection leaves X unchanged.
 """
 
 from __future__ import annotations
@@ -65,16 +65,14 @@ class Scheme(str, enum.Enum):
 
 @dataclass(frozen=True)
 class CompressionOperator:
-    """Modewise compression matrices tagged with their construction.
-
-    Orthonormal and Tucker operators must have orthonormal rows in every
-    mode; Gaussian operators deliberately do not.
+    """Modewise compression matrices, one per mode, none expanding its
+    mode.  Orthonormal and Tucker operators have orthonormal rows,
+    Gaussian ones do not; only :func:`project_onto_rowspaces` needs them.
     """
 
     U: np.ndarray
     V: np.ndarray
     W: np.ndarray
-    scheme: Scheme
 
     def __post_init__(self) -> None:
         for name, M in zip("UVW", (self.U, self.V, self.W)):
@@ -84,14 +82,6 @@ class CompressionOperator:
                     f"{name} must not expand its mode, got shape {arr.shape}"
                 )
             object.__setattr__(self, name, arr)
-        if self.scheme in (Scheme.ORTHONORMAL, Scheme.TUCKER):
-            for name, M in zip("UVW", (self.U, self.V, self.W)):
-                gram = M @ M.T
-                if np.max(np.abs(gram - np.eye(M.shape[0]))) > _ORTHO_TOL:
-                    raise ValueError(
-                        f"{self.scheme.value} operator requires orthonormal rows, "
-                        f"{name} fails the check"
-                    )
 
     @property
     def source_dims(self) -> tuple[int, int, int]:
@@ -153,7 +143,7 @@ def gaussian_operator(
     dims, target = _check_target(dims, target)
     rng = np.random.default_rng(check_seed(seed))
     U, V, W = (rng.standard_normal((t, d)) for t, d in zip(target, dims))
-    return CompressionOperator(U=U, V=V, W=W, scheme=Scheme.GAUSSIAN)
+    return CompressionOperator(U=U, V=V, W=W)
 
 
 def orthonormal_operator(
@@ -168,7 +158,7 @@ def orthonormal_operator(
     """
     gauss = gaussian_operator(dims, target, seed)
     U, V, W = (np.linalg.qr(G.T)[0].T for G in (gauss.U, gauss.V, gauss.W))
-    return CompressionOperator(U=U, V=V, W=W, scheme=Scheme.ORTHONORMAL)
+    return CompressionOperator(U=U, V=V, W=W)
 
 
 def tucker_operator(
@@ -180,7 +170,7 @@ def tucker_operator(
     core (same arithmetic, applied mode 1 then 2 then 3).
     """
     model = tucker3(X, target, cfg)
-    return CompressionOperator(U=model.A.T, V=model.B.T, W=model.C.T, scheme=Scheme.TUCKER)
+    return CompressionOperator(U=model.A.T, V=model.B.T, W=model.C.T)
 
 
 def _check_source(X: DenseTensor3, op: CompressionOperator) -> None:
@@ -202,15 +192,15 @@ def project_onto_rowspaces(X: DenseTensor3, op: CompressionOperator) -> DenseTen
     the same multilinear product as :func:`compress` with each mode's
     projector ``M'M`` in place of ``M``.
 
-    Only valid for operators with orthonormal rows (the formula is the
-    orthogonal projector in each mode); the projection is idempotent and
-    never increases the Frobenius norm.  The compressed tensor preserves
-    the core consistency of an exactly trilinear X whenever the
-    projection equals X itself.
+    Only orthonormal rows make it the orthogonal projector in each mode,
+    so a matrix whose ``M M'`` is off the identity by more than
+    ``_ORTHO_TOL`` (a Gaussian draw, say) is a ``ValueError`` naming it.
+    The projection is idempotent and never increases the Frobenius norm;
+    the compressed tensor preserves the core consistency of an exactly
+    trilinear X whenever the projection equals X itself.
     """
-    if op.scheme is Scheme.GAUSSIAN:
-        raise ValueError(
-            "projection requires orthonormal rows; gaussian operators do not have them"
-        )
     _check_source(X, op)
+    for name, M in zip("UVW", (op.U, op.V, op.W)):
+        if np.max(np.abs(M @ M.T - np.eye(M.shape[0]))) > _ORTHO_TOL:
+            raise ValueError(f"projection requires orthonormal rows; {name} does not have them")
     return DenseTensor3(_multilinear(X.data, [M.T @ M for M in (op.U, op.V, op.W)]))

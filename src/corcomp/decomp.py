@@ -260,7 +260,7 @@ def cp_als_batch(
     the :class:`CpModel` norm convention, the one place it is applied.
 
     Raises ``ShapeError`` when the tensors' dims differ and ``ValueError``
-    naming the index of an all-zero tensor.
+    for an all-zero tensor, naming its index in a batch of two or more.
     """
     tensors = list(tensors)
     seeds = [check_seed(s, f"seeds[{t}]") for t, s in enumerate(seeds)]
@@ -281,7 +281,8 @@ def cp_als_batch(
     norms = [frobenius_norm(X) for X in tensors]
     for t, norm_x in enumerate(norms):
         if norm_x == 0.0:
-            raise ValueError(f"cannot fit a CP model to the all-zero tensor (tensor {t})")
+            where = f" (tensor {t})" if len(tensors) > 1 else ""
+            raise ValueError(f"cannot fit a CP model to the all-zero tensor{where}")
 
     restarts = cfg.restarts
     members = len(tensors) * restarts

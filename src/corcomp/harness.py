@@ -62,7 +62,7 @@ FIT_TAG = 4
 BATCH_BYTES = 1 << 20
 
 # HOOI's fit-change tolerance for the Tucker scheme's operator, whatever the
-# CP fits' tolerance (``max_iterations`` still caps it).  Tighter ones only
+# CP fits' settings (FitConfig's default caps its sweeps).  Tighter ones only
 # refine noise directions: on the benchmark's grid inputs 1e-7 took 2-89
 # sweeps where 1e-4 takes 2, moving no criterion-5 Tucker sample by 1e-3.
 TUCKER_TOLERANCE = 1e-4
@@ -91,6 +91,9 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "rank", check_int(self.rank, "rank"))
         object.__setattr__(self, "master_seed", check_seed(self.master_seed, "master_seed"))
+        if self.fit.seed != FitConfig.seed:
+            raise ConfigError(f"fit.seed must stay {FitConfig.seed}, got {self.fit.seed}: "
+                              "every seed of a grid derives from master_seed")
         schemes = tuple(Scheme(s) for s in self.schemes)
         if not schemes:
             raise ConfigError("schemes must be nonempty")
@@ -206,16 +209,16 @@ def sample_seed(master_seed: int, scheme: Scheme, ratio: float, index: int) -> i
 
 
 def make_operator(
-    X: DenseTensor3, scheme: Scheme, target: tuple[int, int, int], fit: FitConfig, seed: int
+    X: DenseTensor3, scheme: Scheme, target: tuple[int, int, int], seed: int
 ) -> CompressionOperator:
     """The ``scheme`` operator compressing X to ``target``: a random draw
-    from ``seed``, or a Tucker fit of X under ``fit`` with its seed set
-    to ``seed`` and its fit-change tolerance set to ``TUCKER_TOLERANCE``."""
+    from ``seed``, or a Tucker fit of X (labelled with ``seed``) whose HOOI
+    stops at ``TUCKER_TOLERANCE`` or ``FitConfig``'s default sweep cap."""
     if scheme is Scheme.GAUSSIAN:
         return gaussian_operator(X.dims, target, seed)
     if scheme is Scheme.ORTHONORMAL:
         return orthonormal_operator(X.dims, target, seed)
-    return tucker_operator(X, target, replace(fit, seed=seed, rel_tolerance=TUCKER_TOLERANCE))
+    return tucker_operator(X, target, FitConfig(rel_tolerance=TUCKER_TOLERANCE, seed=seed))
 
 
 def _target(X: DenseTensor3, cfg: ExperimentConfig, ratio: float) -> tuple[int, int, int]:
@@ -252,8 +255,8 @@ def _cell_samples(
     :func:`cp_als_batch` call per chunk.  ``tucker3`` ignores its seed, so
     Tucker samples compress once, with the first index's seed.  A failing
     step raises :class:`StepError` with its coordinates and the ``corcomp
-    sample`` rerun; exceptions other than ``ValueError`` are bugs and pass
-    through.
+    sample`` rerun (a failed batch fit refits its samples one at a time to
+    find it); exceptions other than ``ValueError`` are bugs and pass through.
     """
     seeds = {s: sample_seed(cfg.master_seed, scheme, ratio, s) for s in indices}
 
@@ -265,7 +268,7 @@ def _cell_samples(
 
     def compressed(s: int) -> DenseTensor3:
         try:
-            return compress(X, make_operator(X, scheme, target, cfg.fit, seeds[s]))
+            return compress(X, make_operator(X, scheme, target, seeds[s]))
         except ValueError as exc:
             raise sample_failed(s, exc) from exc
 
@@ -274,18 +277,17 @@ def _cell_samples(
     for start in range(indices.start, indices.stop, per_batch):
         chunk = range(start, min(start + per_batch, indices.stop))
         tensors = [compressed(s) if shared is None else shared for s in chunk]
+        fit_seeds = [mix_seed(seeds[s], FIT_TAG) for s in chunk]
         try:
-            models = cp_als_batch(tensors, cfg.rank, cfg.fit,
-                                  [mix_seed(seeds[s], FIT_TAG) for s in chunk])
-        except ValueError as exc:
-            if len(chunk) == 1:
-                raise sample_failed(start, exc) from exc
-            raise StepError(
-                f"CP fit of samples {start}-{chunk.stop - 1} of cell ({scheme.value}, "
-                f"{ratio}) failed (sample seeds {[seeds[s] for s in chunk]}): {exc}; each "
-                f"reruns alone with its index in place of --index {start}"
-                + _rerun_hint(cfg, scheme, ratio, start)
-            ) from exc
+            models = cp_als_batch(tensors, cfg.rank, cfg.fit, fit_seeds)
+        except ValueError:
+            # Batch and single fits agree bit for bit: if no sample fails alone, it is a bug.
+            for s, Xc, fit_seed in zip(chunk, tensors, fit_seeds):
+                try:
+                    cp_als_batch([Xc], cfg.rank, cfg.fit, [fit_seed])
+                except ValueError as exc:
+                    raise sample_failed(s, exc) from exc
+            raise
         for s, Xc, model in zip(chunk, tensors, models):
             try:
                 report = corcondia(Xc, model)
@@ -315,10 +317,12 @@ def run_experiment(X: DenseTensor3, cfg: ExperimentConfig) -> ExperimentResult:
     another.
     """
     targets = {ratio: _target(X, cfg, ratio) for ratio in cfg.ratios}
-    baseline_model = cp_als(
-        X, cfg.rank, replace(cfg.fit, seed=mix_seed(cfg.master_seed, BASELINE_TAG))
-    )
-    baseline = corcondia(X, baseline_model)
+    fit_seed = mix_seed(cfg.master_seed, BASELINE_TAG)
+    try:
+        baseline = corcondia(X, cp_als(X, cfg.rank, replace(cfg.fit, seed=fit_seed)))
+    except ValueError as exc:
+        raise StepError(f"baseline of the uncompressed tensor at rank {cfg.rank} failed "
+                        f"(fit seed {fit_seed}): {exc}") from exc
 
     cells: dict[tuple[Scheme, float], CellResult] = {}
     for scheme in cfg.schemes:

@@ -150,9 +150,8 @@ class TestSampleCommand:
         assert code == 0
         X = read_tensor(exact_tensor_file)
         target = ratio_to_dims(X.dims, RatioSpec(0.4, frozenset({1, 3})))
-        cfg = FitConfig(max_iterations=80, rel_tolerance=1e-9, restarts=2)
         seed = sample_seed(7, Scheme(scheme), 0.4, 3)
-        expected = compress(X, make_operator(X, Scheme(scheme), target, cfg, seed))
+        expected = compress(X, make_operator(X, Scheme(scheme), target, seed))
         got = read_tensor(tmp_path / "s_compressed.tns")
         assert got.dims == target == (8, 15, 3)
         assert got.data.tobytes() == expected.data.tobytes()
@@ -245,6 +244,20 @@ class TestSampleCommand:
         assert out == ""
         assert "all-zero tensor" in err
         assert "sample 0 of cell (gaussian, 0.5)" in err
+
+    def test_all_zero_grid_names_its_baseline(self, tmp_path, capsys):
+        src = tmp_path / "zero.tns"
+        write_tensor(DenseTensor3(np.zeros((12, 10, 6))), src)
+        code, out, err = run(
+            ["experiment", "--input", str(src), "--ratios", "0.5", "--rank", "2",
+             "--samples-gaussian", "1", "--samples-orthonormal", "1", "--samples-tucker", "1"],
+            capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert "baseline of the uncompressed tensor at rank 2 failed (fit seed " in err
+        assert "all-zero tensor" in err
+        assert "tensor 0" not in err
 
     @pytest.mark.parametrize("command", ["compress", "decompose"])
     def test_removed_commands_exit_2(self, exact_tensor_file, command, capsys):

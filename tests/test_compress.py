@@ -7,7 +7,6 @@ from corcomp import (
     DenseTensor3,
     FitConfig,
     RatioSpec,
-    Scheme,
     ShapeError,
     compress,
     corcondia_from_factors,
@@ -65,7 +64,6 @@ class TestGaussianOperator:
         b = gaussian_operator((20, 15, 10), (10, 8, 5), seed=9)
         for Ma, Mb in zip((a.U, a.V, a.W), (b.U, b.V, b.W)):
             assert np.array_equal(Ma, Mb)
-        assert a.scheme is Scheme.GAUSSIAN
 
     def test_standard_normal_moments(self):
         op = gaussian_operator((500, 300, 10), (100, 200, 10), seed=1)
@@ -131,7 +129,6 @@ class TestTuckerOperator:
         op = tucker_operator(X, (3, 3, 3), TIGHT)
         model = tucker3(X, (3, 3, 3), TIGHT)
         assert np.array_equal(compress(X, op).data, model.core.data)
-        assert op.scheme is Scheme.TUCKER
 
     def test_exact_rank3_core_preserves_corcondia(self):
         X, (A, B, C) = random_cp((20, 15, 10), 3, seed=8)
@@ -161,9 +158,7 @@ class TestCompress:
     def test_identity_operator(self):
         rng = np.random.default_rng(11)
         X = DenseTensor3(rng.standard_normal((4, 5, 6)))
-        op = CompressionOperator(
-            U=np.eye(4), V=np.eye(5), W=np.eye(6), scheme=Scheme.ORTHONORMAL
-        )
+        op = CompressionOperator(U=np.eye(4), V=np.eye(5), W=np.eye(6))
         assert np.array_equal(compress(X, op).data, X.data)
 
     def test_sugar_scale_dims(self):
@@ -227,21 +222,18 @@ class TestProjection:
 
 
 class TestOperatorInvariants:
-    def test_orthonormality_enforced_at_construction(self):
+    def test_projection_checks_the_rows_not_the_construction(self):
         rng = np.random.default_rng(25)
-        with pytest.raises(ValueError, match="orthonormal"):
-            CompressionOperator(
-                U=rng.standard_normal((3, 6)),
-                V=np.eye(5),
-                W=np.eye(4),
-                scheme=Scheme.ORTHONORMAL,
-            )
+        X = DenseTensor3(rng.standard_normal((6, 5, 4)))
+        skewed = CompressionOperator(U=rng.standard_normal((3, 6)), V=np.eye(5), W=np.eye(4))
+        with pytest.raises(ValueError, match="orthonormal rows; U does not"):
+            project_onto_rowspaces(X, skewed)
+        identity = CompressionOperator(U=np.eye(6), V=np.eye(5), W=np.eye(4))
+        assert np.array_equal(project_onto_rowspaces(X, identity).data, X.data)
 
     def test_expanding_operator_rejected(self):
         with pytest.raises(ShapeError):
-            CompressionOperator(
-                U=np.ones((7, 6)), V=np.eye(5), W=np.eye(4), scheme=Scheme.GAUSSIAN
-            )
+            CompressionOperator(U=np.ones((7, 6)), V=np.eye(5), W=np.eye(4))
 
 
 class TestPreservationProperties:

@@ -311,6 +311,8 @@ class TestCpAlsBatch:
         ]
         with pytest.raises(ValueError, match=r"zero tensor \(tensor 1\)"):
             cp_als_batch(tensors, 1, self.CFG, [0, 1])
+        with pytest.raises(ValueError, match=r"zero tensor$"):
+            cp_als_batch(tensors[1:], 1, self.CFG, [1])
 
 
 class TestFactorUpdate:

@@ -19,6 +19,7 @@ from corcomp import (
     corcondia,
     cp_als,
     experiment_to_json,
+    gaussian_operator,
     make_operator,
     orthonormal_operator,
     ratio_to_dims,
@@ -29,6 +30,7 @@ from corcomp import (
     synth_tensor,
     tucker3,
 )
+import corcomp.cli as cli
 import corcomp.harness as harness
 from corcomp.harness import FIT_TAG, sample_seed
 from corcomp.seeding import mix_seed
@@ -147,7 +149,7 @@ class TestRunExperiment:
         tucker_cell = result.cells[(Scheme.TUCKER, 0.5)]
         s = 1
         seed = sample_seed(cfg.master_seed, Scheme.TUCKER, 0.5, s)
-        op = make_operator(small_noisy_tensor, Scheme.TUCKER, (15, 10, 8), cfg.fit, seed)
+        op = make_operator(small_noisy_tensor, Scheme.TUCKER, (15, 10, 8), seed)
         compressed = compress(small_noisy_tensor, op)
         model = cp_als(compressed, 3, replace(cfg.fit, seed=mix_seed(seed, FIT_TAG)))
         assert corcondia(compressed, model).value == tucker_cell.raw_samples[s]
@@ -215,17 +217,19 @@ class TestRunExperiment:
         assert all(cell.stats.n == 3 for cell in result.cells.values())
 
     def test_tucker_operator_ignores_the_cp_tolerance(self, small_noisy_tensor):
-        # The grid's HOOI stops at TUCKER_TOLERANCE whatever the CP fits'
-        # tolerance, while tucker3 itself keeps honouring its config's.
-        target = (15, 10, 8)
-        ops, sweeps = [], []
-        for tol in (1e-7, 1e-12):
-            fit = replace(FAST_FIT, rel_tolerance=tol)
-            ops.append(make_operator(small_noisy_tensor, Scheme.TUCKER, target, fit, 5))
-            sweeps.append(tucker3(small_noisy_tensor, target, fit).iterations)
-        for a, b in zip((ops[0].U, ops[0].V, ops[0].W), (ops[1].U, ops[1].V, ops[1].W)):
-            assert a.tobytes() == b.tobytes()
-        assert sweeps[0] != sweeps[1]
+        # The grid's HOOI stops at TUCKER_TOLERANCE under FitConfig's sweep
+        # cap whatever the CP fits' settings, while tucker3 itself keeps
+        # honouring its config.
+        fits = (FitConfig(max_iterations=1, rel_tolerance=1e-3, restarts=1), FAST_FIT)
+        cores, grid = [], []
+        for fit in fits:
+            cores.append(tucker3(small_noisy_tensor, (15, 10, 8), fit).core.data.tobytes())
+            compressed, _, _ = run_sample(
+                small_noisy_tensor, small_config(fit=fit), Scheme.TUCKER, 0.5, 1
+            )
+            grid.append(compressed.data.tobytes())
+        assert grid[0] == grid[1]
+        assert cores[0] != cores[1]
 
     def test_chunked_fits_change_no_result(self, small_noisy_tensor, monkeypatch):
         cfg = small_config()
@@ -252,7 +256,7 @@ class TestRunExperiment:
             alone, _, report = harness.run_sample(small_noisy_tensor, cfg, scheme, 0.5, s)
             assert report.value == result.cells[(scheme, 0.5)].raw_samples[s]
             seed = sample_seed(cfg.master_seed, scheme, 0.5, s)
-            op = make_operator(small_noisy_tensor, scheme, (15, 10, 8), cfg.fit, seed)
+            op = make_operator(small_noisy_tensor, scheme, (15, 10, 8), seed)
             assert alone.data.tobytes() == compress(small_noisy_tensor, op).data.tobytes()
 
     def test_failing_sample_names_its_coordinates(self, small_noisy_tensor, monkeypatch):
@@ -281,22 +285,68 @@ class TestRunExperiment:
         assert message.endswith(rerun)
         assert isinstance(info.value.__cause__, ValueError)
 
-    def test_failing_batch_fit_names_the_cell_seeds(self, small_noisy_tensor, monkeypatch):
-        def failing_batch(*args, **kwargs):
-            raise ValueError("fit exploded")
+    def test_failing_batch_fit_names_the_sample_at_fault(self, small_noisy_tensor, monkeypatch):
+        cfg = small_config(schemes=(Scheme.GAUSSIAN,), samples_per_cell={Scheme.GAUSSIAN: 5})
+        seed = sample_seed(cfg.master_seed, Scheme.GAUSSIAN, 0.5, 3)
+        poisoned = compress(
+            small_noisy_tensor, gaussian_operator(small_noisy_tensor.dims, (15, 10, 8), seed)
+        )
+        real_batch, batch_sizes = harness.cp_als_batch, []
+
+        def failing_batch(tensors, *args):
+            batch_sizes.append(len(tensors))
+            if any(np.array_equal(X.data, poisoned.data) for X in tensors):
+                raise ValueError("fit exploded")
+            return real_batch(tensors, *args)
 
         monkeypatch.setattr(harness, "cp_als_batch", failing_batch)
-        cfg = small_config(schemes=(Scheme.GAUSSIAN,))
-        seeds = [sample_seed(cfg.master_seed, Scheme.GAUSSIAN, 0.5, s) for s in range(4)]
-        with pytest.raises(StepError, match="gaussian") as info:
+        with pytest.raises(StepError) as info:
             run_experiment(small_noisy_tensor, cfg)
-        assert str(seeds) in str(info.value)
-        assert "each reruns alone with its index in place of --index 0" in str(info.value)
-        assert str(info.value).endswith(
-            "corcomp sample --scheme gaussian --ratio 0.5 --index 0 --seed 7 --rank 3 "
+        message = str(info.value)
+        assert batch_sizes == [5, 1, 1, 1, 1]
+        assert f"sample 3 of cell (gaussian, 0.5) failed (operator seed {seed}): fit exploded" \
+            in message
+        assert message.endswith(
+            "corcomp sample --scheme gaussian --ratio 0.5 --index 3 --seed 7 --rank 3 "
             "--modes 1 2 --max-iter 200 --tol 1e-09 --restarts 2"
         )
         assert isinstance(info.value.__cause__, ValueError)
+
+        # A batch that fails while every sample fits alone is a bug in the
+        # batch, so its own error passes through with its traceback.
+        def batch_only_failure(tensors, *args):
+            if len(tensors) > 1:
+                raise ValueError("batch exploded")
+            return real_batch(tensors, *args)
+
+        monkeypatch.setattr(harness, "cp_als_batch", batch_only_failure)
+        with pytest.raises(ValueError, match="batch exploded") as info:
+            run_experiment(small_noisy_tensor, cfg)
+        assert type(info.value) is ValueError
+
+    def test_rerun_command_round_trips_through_the_cli_parser(
+        self, small_noisy_tensor, monkeypatch
+    ):
+        real_corcondia = harness.corcondia
+
+        def failing_corcondia(X, model):
+            if X.dims != small_noisy_tensor.dims:  # the baseline still passes
+                raise ValueError("diagnostic exploded")
+            return real_corcondia(X, model)
+
+        monkeypatch.setattr(harness, "corcondia", failing_corcondia)
+        fit = FitConfig(max_iterations=37, rel_tolerance=3e-7, restarts=3)
+        cfg = small_config(schemes=(Scheme.ORTHONORMAL,), ratios=(0.3,), fit=fit,
+                           compressed_modes=frozenset({1, 3}), rank=2, master_seed=11)
+        with pytest.raises(StepError) as info:
+            run_experiment(small_noisy_tensor, cfg)
+        command = str(info.value).split("corcomp sample ")[1].split()
+        args = cli.build_parser().parse_args(["sample", "--input", "x.tns", *command])
+        rerun = cli._grid_config(args, schemes=(Scheme(args.scheme),), ratios=(args.ratio,))
+        assert (rerun.rank, rerun.compressed_modes, rerun.master_seed, rerun.fit) == (
+            cfg.rank, cfg.compressed_modes, cfg.master_seed, cfg.fit
+        )
+        assert (args.scheme, args.ratio, args.index) == ("orthonormal", 0.3, 0)
 
     def test_infeasible_cell_rejected_before_compute(self, small_noisy_tensor):
         # at ratio 0.04 modes 1 and 2 collapse to (1, 1, 8): max rank 1
@@ -314,6 +364,8 @@ class TestRunExperiment:
             ExperimentConfig(samples_per_cell={Scheme.GAUSSIAN: 0})
         with pytest.raises(ConfigError, match="compressed modes must be nonempty"):
             ExperimentConfig(compressed_modes=frozenset())
+        with pytest.raises(ConfigError, match="master_seed"):
+            ExperimentConfig(fit=replace(FitConfig(), seed=12345))
 
     def test_fractional_counts_rejected_not_truncated(self, small_noisy_tensor, tmp_path):
         with pytest.raises(ConfigError, match="rank must be an integer >= 1, got 2.5"):
@@ -368,7 +420,7 @@ class TestRunExperiment:
                 samples_per_cell={Scheme.GAUSSIAN: n(2), Scheme.ORTHONORMAL: n(2),
                                   Scheme.TUCKER: n(1)},
                 fit=FitConfig(max_iterations=n(30), rel_tolerance=1e-7, restarts=n(2),
-                              seed=n(9)),
+                              seed=n(0)),
             ))
 
         assert experiment_to_json(grid(np.int64)) == experiment_to_json(grid(int))
