@@ -372,24 +372,28 @@ def tucker3(
 ) -> TuckerModel:
     """Fit a Tucker model with core dims ``target`` = (P, Q, R).
 
-    Initializes each factor with the leading left singular subspace of
-    the corresponding unfolding (HOSVD), then refines by orthogonal
-    iteration (HOOI) until the relative fit change drops below
-    ``cfg.rel_tolerance``.  A leading subspace comes from the
-    eigendecomposition of the unfolding's Gram matrix when the unfolding
-    is wide and from its SVD when it is tall.  The procedure is
-    deterministic; ``cfg.seed`` and ``cfg.restarts`` have no effect on
-    the result.
+    Initializes the mode-2 and mode-3 factors with the leading left
+    singular subspaces of their unfoldings (HOSVD), then refines all three
+    by orthogonal iteration (HOOI), whose first step gives mode 1, until the
+    relative fit change drops below ``cfg.rel_tolerance``.  The all-zero
+    tensor runs no sweep and keeps all three HOSVD factors.  A leading
+    subspace comes from the eigendecomposition of the unfolding's Gram
+    matrix when the unfolding is wide and from its SVD when it is tall.
+    The procedure is deterministic; ``cfg.seed`` and ``cfg.restarts`` have
+    no effect on the result.
     """
     _, target = _check_target(X.dims, target)
 
     norm_x = frobenius_norm(X)
     # The products run on raw arrays: X is finite, and so is every product.
     data = X.data
-    factors = [_leading_singular_vectors(_unfold(data, m), target[m - 1]) for m in (1, 2, 3)]
+    converged = norm_x == 0.0
+    # HOOI's first step replaces the mode-1 factor without reading it, and
+    # max_iterations >= 1, so HOSVD starts mode 1 only when no sweep runs.
+    factors = [_leading_singular_vectors(_unfold(data, m), target[m - 1])
+               if m > 1 or converged else None for m in (1, 2, 3)]
     core = np.zeros(target)  # the core of the all-zero tensor
     iterations = 0
-    converged = norm_x == 0.0
     prev_err = np.inf
     while iterations < cfg.max_iterations and not converged:
         iterations += 1

@@ -12,8 +12,9 @@ ratio)`` is seeded by ``mix_seed(master_seed, scheme.wire_id,
 round(ratio * 10000), s)`` and the CP fit of that sample by
 ``mix_seed(sample_seed, FIT_TAG)``, so any cell or sample can be
 recomputed in isolation.  One generator computes every sample: the grid
-reads a whole cell from it, and :func:`run_sample` (``corcomp sample``)
-reads one sample, bit for bit as in the grid.
+reads every cell of one ratio from it, fitting all schemes' samples in
+shared batches (they have one compressed shape), and :func:`run_sample`
+(``corcomp sample``) reads one sample, bit for bit as in the grid.
 """
 
 from __future__ import annotations
@@ -57,8 +58,9 @@ BASELINE_TAG = 3
 FIT_TAG = 4
 
 # Bytes of compressed samples fitted per cp_als_batch call (at least one
-# sample).  Batch members never interact, so this changes no result; it
-# keeps a cell's memory from growing with its sample count.
+# sample), filled across the schemes of one ratio.  Batch members never
+# interact, so this changes no result; it keeps a ratio's memory from
+# growing with its sample count.
 BATCH_BYTES = 1 << 20
 
 # HOOI's fit-change tolerance for the Tucker scheme's operator, whatever the
@@ -244,56 +246,60 @@ def _rerun_hint(cfg: ExperimentConfig, scheme: Scheme, ratio: float, index: int)
     )
 
 
-def _cell_samples(
-    X: DenseTensor3, cfg: ExperimentConfig, scheme: Scheme, ratio: float,
-    target: tuple[int, int, int], indices: range,
-) -> Iterator[tuple[DenseTensor3, CpModel, CorcondiaReport]]:
-    """Compressed tensor, CP model and diagnostic of each sample of
-    ``indices`` in cell ``(scheme, ratio)``, in index order.
+def _ratio_samples(
+    X: DenseTensor3, cfg: ExperimentConfig, ratio: float, target: tuple[int, int, int],
+    cells: Sequence[tuple[Scheme, range]],
+) -> Iterator[tuple[Scheme, DenseTensor3, CpModel, CorcondiaReport]]:
+    """Scheme, compressed tensor, CP model and diagnostic of each sample of
+    ``cells``, ``(scheme, indices)`` pairs at ``ratio``, in cell then index order.
 
-    Samples run in chunks of about ``BATCH_BYTES`` of compressed data, one
-    :func:`cp_als_batch` call per chunk.  ``tucker3`` ignores its seed, so
-    Tucker samples compress once, with the first index's seed.  A failing
+    The cells share one compressed shape, so samples run in chunks of about
+    ``BATCH_BYTES`` that fill across cell boundaries, one
+    :func:`cp_als_batch` call per chunk.  ``tucker3`` ignores its seed, so a
+    Tucker cell compresses once, with its first index's seed.  A failing
     step raises :class:`StepError` with its coordinates and the ``corcomp
     sample`` rerun (a failed batch fit refits its samples one at a time to
     find it); exceptions other than ``ValueError`` are bugs and pass through.
     """
-    seeds = {s: sample_seed(cfg.master_seed, scheme, ratio, s) for s in indices}
+    samples = [(scheme, s) for scheme, indices in cells for s in indices]
+    seeds = {(scheme, s): sample_seed(cfg.master_seed, scheme, ratio, s) for scheme, s in samples}
 
-    def sample_failed(s: int, exc: Exception) -> StepError:
+    def sample_failed(scheme: Scheme, s: int, exc: Exception) -> StepError:
         return StepError(
             f"sample {s} of cell ({scheme.value}, {ratio}) failed "
-            f"(operator seed {seeds[s]}): {exc}" + _rerun_hint(cfg, scheme, ratio, s)
+            f"(operator seed {seeds[scheme, s]}): {exc}" + _rerun_hint(cfg, scheme, ratio, s)
         )
 
-    def compressed(s: int) -> DenseTensor3:
+    def compressed(scheme: Scheme, s: int) -> DenseTensor3:
         try:
-            return compress(X, make_operator(X, scheme, target, seeds[s]))
+            return compress(X, make_operator(X, scheme, target, seeds[scheme, s]))
         except ValueError as exc:
-            raise sample_failed(s, exc) from exc
+            raise sample_failed(scheme, s, exc) from exc
 
-    shared = compressed(indices.start) if scheme is Scheme.TUCKER else None
+    shared = {scheme: compressed(scheme, indices.start)
+              for scheme, indices in cells if scheme is Scheme.TUCKER}
     per_batch = max(1, BATCH_BYTES // (8 * int(np.prod(target))))
-    for start in range(indices.start, indices.stop, per_batch):
-        chunk = range(start, min(start + per_batch, indices.stop))
-        tensors = [compressed(s) if shared is None else shared for s in chunk]
-        fit_seeds = [mix_seed(seeds[s], FIT_TAG) for s in chunk]
+    for start in range(0, len(samples), per_batch):
+        chunk = samples[start:start + per_batch]
+        tensors = [shared[scheme] if scheme in shared else compressed(scheme, s)
+                   for scheme, s in chunk]
+        fit_seeds = [mix_seed(seeds[sample], FIT_TAG) for sample in chunk]
         try:
             models = cp_als_batch(tensors, cfg.rank, cfg.fit, fit_seeds)
         except ValueError:
             # Batch and single fits agree bit for bit: if no sample fails alone, it is a bug.
-            for s, Xc, fit_seed in zip(chunk, tensors, fit_seeds):
+            for sample, Xc, fit_seed in zip(chunk, tensors, fit_seeds):
                 try:
                     cp_als_batch([Xc], cfg.rank, cfg.fit, [fit_seed])
                 except ValueError as exc:
-                    raise sample_failed(s, exc) from exc
+                    raise sample_failed(*sample, exc) from exc
             raise
-        for s, Xc, model in zip(chunk, tensors, models):
+        for (scheme, s), Xc, model in zip(chunk, tensors, models):
             try:
                 report = corcondia(Xc, model)
             except ValueError as exc:
-                raise sample_failed(s, exc) from exc
-            yield Xc, model, report
+                raise sample_failed(scheme, s, exc) from exc
+            yield scheme, Xc, model, report
 
 
 def run_sample(
@@ -305,16 +311,17 @@ def run_sample(
     is a :class:`ConfigError`: the seed derivation would map it onto a
     smaller index's streams."""
     index = check_seed(index, "sample index")
-    target = _target(X, cfg, ratio)
-    return next(_cell_samples(X, cfg, scheme, ratio, target, range(index, index + 1)))
+    cell = [(scheme, range(index, index + 1))]
+    return next(_ratio_samples(X, cfg, ratio, _target(X, cfg, ratio), cell))[1:]
 
 
 def run_experiment(X: DenseTensor3, cfg: ExperimentConfig) -> ExperimentResult:
     """Run the full (scheme, ratio) grid and summarize each cell.
 
     The grid is validated before any computation: every compressed shape
-    in it must support ``cfg.rank`` CP components.  Cells run one after
-    another.
+    in it must support ``cfg.rank`` CP components.  Ratios run one after
+    another; at each ratio every scheme's samples share
+    :func:`cp_als_batch` calls of about ``BATCH_BYTES`` of compressed data.
     """
     targets = {ratio: _target(X, cfg, ratio) for ratio in cfg.ratios}
     fit_seed = mix_seed(cfg.master_seed, BASELINE_TAG)
@@ -324,18 +331,16 @@ def run_experiment(X: DenseTensor3, cfg: ExperimentConfig) -> ExperimentResult:
         raise StepError(f"baseline of the uncompressed tensor at rank {cfg.rank} failed "
                         f"(fit seed {fit_seed}): {exc}") from exc
 
+    # Keys in scheme-major order, the order of the JSON cells and CSV rows.
+    raw = {(scheme, ratio): [] for scheme in cfg.schemes for ratio in cfg.ratios}
+    per_scheme = [(scheme, range(cfg.samples_per_cell[scheme])) for scheme in cfg.schemes]
+    for ratio in cfg.ratios:
+        for scheme, _, _, report in _ratio_samples(X, cfg, ratio, targets[ratio], per_scheme):
+            raw[scheme, ratio].append(report.value)
+
     cells: dict[tuple[Scheme, float], CellResult] = {}
-    for scheme in cfg.schemes:
-        for ratio in cfg.ratios:
-            indices = range(cfg.samples_per_cell[scheme])
-            raw = [report.value for _, _, report in
-                   _cell_samples(X, cfg, scheme, ratio, targets[ratio], indices)]
-            clamped = clamp_negatives(raw)
-            cells[(scheme, ratio)] = CellResult(
-                scheme=scheme,
-                ratio=ratio,
-                raw_samples=tuple(raw),
-                clamped_samples=tuple(clamped),
-                stats=summarize(clamped),
-            )
+    for (scheme, ratio), samples in raw.items():
+        clamped = clamp_negatives(samples)
+        cells[scheme, ratio] = CellResult(scheme, ratio, tuple(samples), tuple(clamped),
+                                          summarize(clamped))
     return ExperimentResult(config=cfg, cells=cells, baseline=baseline)

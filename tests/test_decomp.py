@@ -455,6 +455,20 @@ class TestTucker3SubspaceSteps:
         for F, G in zip((got.A, got.B, got.C), (want.A, want.B, want.C)):
             assert np.max(np.abs(projector(F) - projector(G))) <= 1e-9
 
+    def test_hosvd_skips_the_mode_1_subspace_hooi_overwrites(self, monkeypatch):
+        X = synth_tensor(SynthSpec(dims=(30, 20, 8), rank=3, noise_level=0.05, seed=4))
+        real, calls = decomp._leading_singular_vectors, []
+
+        def counting(M, k):
+            calls.append(M.shape)
+            return real(M, k)
+
+        monkeypatch.setattr(decomp, "_leading_singular_vectors", counting)
+        model = tucker3(X, (15, 10, 8), FitConfig(rel_tolerance=1e-7))
+        assert model.iterations >= 2
+        assert len(calls) == 2 + 3 * model.iterations
+        assert calls[:2] == [(20, 240), (8, 600)]  # HOSVD of modes 2 and 3 only
+
     def test_zero_tensor(self):
         X = DenseTensor3(np.zeros((6, 5, 4)))
         model = tucker3(X, (3, 2, 2), TIGHT)

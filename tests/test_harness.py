@@ -244,15 +244,47 @@ class TestRunExperiment:
         monkeypatch.setattr(harness, "BATCH_BYTES", 3 * 15 * 10 * 8 * 8)  # 3 samples
         monkeypatch.setattr(harness, "cp_als_batch", recording_batch)
         chunked = run_experiment(small_noisy_tensor, cfg)
-        assert batch_sizes == [3, 1, 3, 1, 2]  # gaussian 4, orthonormal 4, tucker 2
+        # gaussian 4, orthonormal 4, tucker 2: chunks fill across cell boundaries
+        assert batch_sizes == [3, 3, 3, 1]
         for key, cell in whole.cells.items():
             assert chunked.cells[key].raw_samples == cell.raw_samples
+
+    def test_one_batch_per_ratio_at_the_default_batch_size(self, small_noisy_tensor, monkeypatch):
+        batch_sizes = []
+        real_batch = harness.cp_als_batch
+
+        def recording_batch(tensors, *args):
+            batch_sizes.append(len(tensors))
+            return real_batch(tensors, *args)
+
+        monkeypatch.setattr(harness, "cp_als_batch", recording_batch)
+        run_experiment(small_noisy_tensor, small_config(ratios=(0.5, 0.2)))
+        assert batch_sizes == [10, 10]  # every scheme's samples of a ratio in one loop
+
+    @pytest.mark.parametrize("batch_bytes", [harness.BATCH_BYTES, 3 * 15 * 10 * 8 * 8])
+    def test_shared_batches_equal_single_scheme_grids(
+        self, small_noisy_tensor, monkeypatch, batch_bytes
+    ):
+        # At 3 samples per chunk, ratio 0.5's second chunk holds gaussian
+        # sample 3 and orthonormal samples 0 and 1.
+        monkeypatch.setattr(harness, "BATCH_BYTES", batch_bytes)
+        cfg = small_config(ratios=(0.5, 0.2))
+        merged = run_experiment(small_noisy_tensor, cfg)
+        assert list(merged.cells) == [(scheme, ratio) for scheme in cfg.schemes
+                                      for ratio in cfg.ratios]
+        for scheme in cfg.schemes:
+            alone = run_experiment(small_noisy_tensor, replace(cfg, schemes=(scheme,)))
+            for key, cell in alone.cells.items():
+                assert merged.cells[key] == cell
+                assert (np.array(merged.cells[key].raw_samples).tobytes()
+                        == np.array(cell.raw_samples).tobytes())
 
     def test_rerun_across_a_chunk_boundary(self, small_noisy_tensor, monkeypatch):
         monkeypatch.setattr(harness, "BATCH_BYTES", 3 * 15 * 10 * 8 * 8)  # 3 samples
         cfg = small_config()
         result = run_experiment(small_noisy_tensor, cfg)
-        for scheme, s in ((Scheme.GAUSSIAN, 3), (Scheme.TUCKER, 1)):
+        # Orthonormal sample 1 shares its chunk with gaussian sample 3.
+        for scheme, s in ((Scheme.GAUSSIAN, 3), (Scheme.ORTHONORMAL, 1), (Scheme.TUCKER, 1)):
             alone, _, report = harness.run_sample(small_noisy_tensor, cfg, scheme, 0.5, s)
             assert report.value == result.cells[(scheme, 0.5)].raw_samples[s]
             seed = sample_seed(cfg.master_seed, scheme, 0.5, s)
