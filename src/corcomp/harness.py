@@ -131,7 +131,7 @@ class SummaryStats:
 
     Quartiles use linear interpolation between order statistics;
     whiskers sit at the most extreme samples within 1.5 IQR of the
-    quartiles; ``outliers`` are the samples beyond the whiskers; and
+    quartiles; ``n_outliers`` counts the samples beyond the whiskers; and
     ``smoothed_mean`` is the mean after winsorizing outliers to the
     nearest whisker value.
     """
@@ -144,22 +144,18 @@ class SummaryStats:
     max: float
     lower_whisker: float
     upper_whisker: float
-    outliers: tuple[float, ...]
+    n_outliers: int
     smoothed_mean: float
 
 
 @dataclass(frozen=True)
 class CellResult:
-    """Samples and statistics for one (scheme, ratio) cell.
-
-    ``clamped_samples[i] == max(raw_samples[i], 0)``; the statistics are
-    computed from the clamped samples.
-    """
+    """Samples and statistics for one (scheme, ratio) cell; the statistics
+    are ``summarize(clamp_negatives(raw_samples))``."""
 
     scheme: Scheme
     ratio: float
     raw_samples: tuple[float, ...]
-    clamped_samples: tuple[float, ...]
     stats: SummaryStats
 
 
@@ -185,7 +181,6 @@ def summarize(samples: Sequence[float]) -> SummaryStats:
     inside = arr[(arr >= q1 - 1.5 * iqr) & (arr <= q3 + 1.5 * iqr)]
     lower_whisker = float(inside.min())
     upper_whisker = float(inside.max())
-    outliers = arr[(arr < lower_whisker) | (arr > upper_whisker)]
     winsorized = np.clip(arr, lower_whisker, upper_whisker)
     return SummaryStats(
         n=int(arr.size),
@@ -196,7 +191,7 @@ def summarize(samples: Sequence[float]) -> SummaryStats:
         max=float(arr.max()),
         lower_whisker=lower_whisker,
         upper_whisker=upper_whisker,
-        outliers=tuple(float(v) for v in np.sort(outliers)),
+        n_outliers=int(np.count_nonzero((arr < lower_whisker) | (arr > upper_whisker))),
         smoothed_mean=float(winsorized.mean()),
     )
 
@@ -338,9 +333,6 @@ def run_experiment(X: DenseTensor3, cfg: ExperimentConfig) -> ExperimentResult:
         for scheme, _, _, report in _ratio_samples(X, cfg, ratio, targets[ratio], per_scheme):
             raw[scheme, ratio].append(report.value)
 
-    cells: dict[tuple[Scheme, float], CellResult] = {}
-    for (scheme, ratio), samples in raw.items():
-        clamped = clamp_negatives(samples)
-        cells[scheme, ratio] = CellResult(scheme, ratio, tuple(samples), tuple(clamped),
-                                          summarize(clamped))
+    cells = {key: CellResult(*key, tuple(samples), summarize(clamp_negatives(samples)))
+             for key, samples in raw.items()}
     return ExperimentResult(config=cfg, cells=cells, baseline=baseline)

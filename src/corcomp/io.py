@@ -295,31 +295,17 @@ def experiment_to_json(result: ExperimentResult) -> str:
             "core_flat": [float(v) for v in result.baseline.core.to_flat()],
             "factor_rank_deficient": result.baseline.factor_rank_deficient,
         },
-        "cells": [
-            {
-                "scheme": cell.scheme.value,
-                "ratio": cell.ratio,
-                "raw_samples": list(cell.raw_samples),
-                "clamped_samples": list(cell.clamped_samples),
-                "stats": asdict(cell.stats),
-            }
-            for cell in result.cells.values()
-        ],
+        "cells": [asdict(cell) for cell in result.cells.values()],
     }
     return json.dumps(doc, indent=2) + "\n"
 
 
 def stats_csv_lines(result: ExperimentResult) -> list[str]:
     """Per-cell boxplot statistics as CSV rows, one column per
-    :class:`SummaryStats` field with ``outliers`` given as their count
-    ``n_outliers`` (floats in repr form, so they round-trip exactly)."""
-    names = [f.name for f in fields(SummaryStats)]
-    header = ["scheme", "ratio"] + ["n_outliers" if n == "outliers" else n for n in names]
-    lines = [",".join(header)]
+    :class:`SummaryStats` field (floats in repr form, so they round-trip
+    exactly)."""
+    lines = [",".join(["scheme", "ratio"] + [f.name for f in fields(SummaryStats)])]
     for cell in result.cells.values():
-        row = [cell.scheme.value, repr(cell.ratio)]
-        for name in names:
-            value = getattr(cell.stats, name)
-            row.append(repr(len(value) if name == "outliers" else value))
-        lines.append(",".join(row))
+        stats = [repr(v) for v in asdict(cell.stats).values()]
+        lines.append(",".join([cell.scheme.value, repr(cell.ratio)] + stats))
     return lines

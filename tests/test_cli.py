@@ -316,7 +316,7 @@ class TestExperimentCommand:
                 ("smoothed_mean", stats.smoothed_mean),
             ):
                 assert abs(float(fields[name]) - got) <= 1e-12
-            assert int(fields["n_outliers"]) == len(stats.outliers)
+            assert int(fields["n_outliers"]) == stats.n_outliers
 
     def test_config_file_with_flag_override(self, noisy_file, tmp_path, capsys):
         cfg_file = tmp_path / "exp.cfg"

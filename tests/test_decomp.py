@@ -179,6 +179,10 @@ class TestCpAlsBatch:
         rng = np.random.default_rng(46)
         noisy = X.data + 0.1 * rng.standard_normal(X.dims)
         op = orthonormal_operator(X.dims, (6, 4, 5), seed=47)
+        # The paper protocol's two smallest targets, ratios 0.04 and 0.08:
+        # a unit mode, and a rank above a mode's size.
+        P, _ = random_cp_tensor((268, 44, 7), 3, seed=48)
+        paper = DenseTensor3(P.data + 0.05 * rng.standard_normal(P.dims))
         # Transposes put the largest mode second and third.
         tensors = [
             compress(DenseTensor3(noisy), op),
@@ -186,6 +190,8 @@ class TestCpAlsBatch:
             DenseTensor3.from_flat(noisy.ravel(order="F"), X.dims),
             DenseTensor3(noisy.transpose(1, 0, 2)),
             DenseTensor3(noisy.transpose(2, 1, 0)),
+            compress(paper, orthonormal_operator(paper.dims, (10, 1, 7), seed=49)),
+            compress(paper, orthonormal_operator(paper.dims, (21, 3, 7), seed=50)),
         ]
         for R in (1, 3):
             for Xt in tensors:
@@ -302,6 +308,10 @@ class TestCpAlsBatch:
         tensors = [DenseTensor3(rng.standard_normal(d)) for d in ((4, 3, 3), (4, 3, 2))]
         with pytest.raises(ShapeError):
             cp_als_batch(tensors, 1, self.CFG, [0, 1])
+        with pytest.raises(ValueError, match="got 1 seeds for 2 tensors"):
+            cp_als_batch(tensors, 1, self.CFG, [0])
+        with pytest.raises(ValueError, match="at least one tensor"):
+            cp_als_batch([], 1, self.CFG, [])
 
     def test_zero_tensor_named_by_index(self):
         rng = np.random.default_rng(44)

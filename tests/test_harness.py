@@ -54,7 +54,7 @@ class TestSummarize:
         stats = summarize([100.0] * 10)
         assert (stats.min, stats.q1, stats.median, stats.q3, stats.max) == (100,) * 5
         assert (stats.lower_whisker, stats.upper_whisker) == (100.0, 100.0)
-        assert stats.outliers == ()
+        assert stats.n_outliers == 0
         assert stats.smoothed_mean == 100.0
         assert stats.n == 10
 
@@ -65,7 +65,7 @@ class TestSummarize:
         assert stats.q3 == 75.0
         assert stats.lower_whisker == 0.0
         assert stats.upper_whisker == 100.0
-        assert stats.outliers == ()
+        assert stats.n_outliers == 0
         assert stats.smoothed_mean == 50.0
 
     def test_single_low_outlier_is_winsorized(self):
@@ -74,7 +74,7 @@ class TestSummarize:
         stats = summarize([100.0] * 99 + [0.0])
         assert stats.q1 == 100.0 and stats.q3 == 100.0
         assert stats.lower_whisker == 100.0
-        assert stats.outliers == (0.0,)
+        assert stats.n_outliers == 1
         assert stats.smoothed_mean == 100.0
         assert stats.min == 0.0
 
@@ -90,8 +90,8 @@ class TestSummarize:
             assert stats.min <= stats.q1 <= stats.median <= stats.q3 <= stats.max
             assert stats.lower_whisker <= stats.q1
             assert stats.q3 <= stats.upper_whisker
-            for v in stats.outliers:
-                assert v < stats.lower_whisker or v > stats.upper_whisker
+            beyond = (samples < stats.lower_whisker) | (samples > stats.upper_whisker)
+            assert stats.n_outliers == np.count_nonzero(beyond)
             assert stats.lower_whisker <= stats.smoothed_mean <= stats.upper_whisker
 
     def test_winsorized_mean_ignores_outlier_magnitude(self):
@@ -164,12 +164,10 @@ class TestRunExperiment:
     def test_clamping_invariant(self, small_noisy_tensor):
         result = run_experiment(small_noisy_tensor, small_config())
         for cell in result.cells.values():
-            assert cell.clamped_samples == tuple(
-                max(v, 0.0) for v in cell.raw_samples
-            )
-            assert all(0.0 <= v <= 100.0 + 1e-9 for v in cell.clamped_samples)
+            assert cell.stats == summarize(clamp_negatives(cell.raw_samples))
+            assert all(v <= 100.0 + 1e-9 for v in cell.raw_samples)
             s = cell.stats
-            assert s.min <= s.q1 <= s.median <= s.q3 <= s.max
+            assert 0.0 <= s.min <= s.q1 <= s.median <= s.q3 <= s.max
 
     def test_lossless_orthonormal_at_ratio_one(self, small_exact_tensor):
         cfg = small_config(
@@ -292,30 +290,40 @@ class TestRunExperiment:
             assert alone.data.tobytes() == compress(small_noisy_tensor, op).data.tobytes()
 
     def test_failing_sample_names_its_coordinates(self, small_noisy_tensor, monkeypatch):
+        # A ValueError while building the operator, or while computing the
+        # diagnostic, fails the sample that raised it.
         cfg = small_config()
         seed = sample_seed(cfg.master_seed, Scheme.ORTHONORMAL, 0.5, 2)
         poisoned = compress(
             small_noisy_tensor, orthonormal_operator(small_noisy_tensor.dims, (15, 10, 8), seed)
         )
-        real_corcondia = harness.corcondia
+        real_operator, real_corcondia = harness.orthonormal_operator, harness.corcondia
+
+        def failing_operator(dims, target, op_seed):
+            if op_seed == seed:
+                raise ValueError("operator exploded")
+            return real_operator(dims, target, op_seed)
 
         def failing_corcondia(X, model):
             if np.array_equal(X.data, poisoned.data):
                 raise ValueError("diagnostic exploded")
             return real_corcondia(X, model)
 
-        monkeypatch.setattr(harness, "corcondia", failing_corcondia)
-        with pytest.raises(StepError) as info:
-            run_experiment(small_noisy_tensor, cfg)
-        message = str(info.value)
         rerun = (
             "corcomp sample --scheme orthonormal --ratio 0.5 --index 2 --seed 7 --rank 3 "
             "--modes 1 2 --max-iter 200 --tol 1e-09 --restarts 2"
         )
-        for part in ("sample 2", "orthonormal", "0.5", f"operator seed {seed}", "exploded", rerun):
-            assert part in message
-        assert message.endswith(rerun)
-        assert isinstance(info.value.__cause__, ValueError)
+        for step, failing in (("orthonormal_operator", failing_operator),
+                              ("corcondia", failing_corcondia)):
+            with monkeypatch.context() as patch:
+                patch.setattr(harness, step, failing)
+                with pytest.raises(StepError) as info:
+                    run_experiment(small_noisy_tensor, cfg)
+            message = str(info.value)
+            for part in ("sample 2", "orthonormal", "0.5", f"operator seed {seed}", "exploded"):
+                assert part in message, step
+            assert message.endswith(rerun), step
+            assert isinstance(info.value.__cause__, ValueError)
 
     def test_failing_batch_fit_names_the_sample_at_fault(self, small_noisy_tensor, monkeypatch):
         cfg = small_config(schemes=(Scheme.GAUSSIAN,), samples_per_cell={Scheme.GAUSSIAN: 5})
@@ -462,6 +470,8 @@ class TestRunExperiment:
                            samples_per_cell={Scheme.GAUSSIAN: 2, Scheme.TUCKER: 7})
         doc = json.loads(experiment_to_json(run_experiment(small_noisy_tensor, cfg)))
         assert doc["config"]["samples_per_cell"] == {"gaussian": 2}
+        assert list(doc["cells"][0]) == ["scheme", "ratio", "raw_samples", "stats"]
+        assert "n_outliers" in doc["cells"][0]["stats"]
 
     def test_duplicate_ratio_rejected(self):
         with pytest.raises(ConfigError, match="0.5"):

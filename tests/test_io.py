@@ -37,6 +37,9 @@ class TestBinaryFormat:
         path.write_bytes(raw[:-16])
         with pytest.raises(FormatError, match=r"expected 480 bytes, found 464"):
             read_tensor(path)
+        path.write_bytes(raw[:10])
+        with pytest.raises(FormatError, match=r"header truncated \(10 bytes\)"):
+            read_tensor(path)
 
     def test_overlong_payload_rejected(self, tmp_path, random_tensor):
         path = tmp_path / "x.tns"
@@ -79,15 +82,27 @@ class TestTextFormat:
 
     def test_value_count_mismatch(self, tmp_path):
         path = tmp_path / "x.txt"
-        path.write_text("2 2 2\n1.0\n2.0\n")
-        with pytest.raises(FormatError, match="expected 8 values"):
-            read_tensor(path)
+        for text, message in (
+            ("2 2 2\n1.0\n2.0\n", "expected 8 values"),
+            ("1 1 2\n1.0\nabc\n", "unparsable value"),
+            ("1 1 2\n1.0\nnan\n", "non-finite values"),
+        ):
+            path.write_text(text)
+            with pytest.raises(FormatError, match=message):
+                read_tensor(path)
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "x.txt"
-        path.write_text("2 2\n")
-        with pytest.raises(FormatError, match="header"):
-            read_tensor(path)
+        for text, message in (
+            ("2 2\n", "header"),
+            ("", "empty tensor file"),
+            ("# a comment only\n\n", "empty tensor file"),
+            ("2 x 2\n", "non-integer dims"),
+            ("2 0 2\n", r"dims must be positive, got \(2, 0, 2\)"),
+        ):
+            path.write_text(text)
+            with pytest.raises(FormatError, match=message):
+                read_tensor(path)
 
 
 class TestCsvFormat:
@@ -100,7 +115,7 @@ class TestCsvFormat:
 
     def test_dims_header_line(self, tmp_path):
         path = tmp_path / "x.csv"
-        path.write_text("# dims: 2 3 4\n2,3,4,-1.5\n")
+        path.write_text("# dims: 2 3 4\n\n2,3,4,-1.5\n")  # blank lines are skipped
         X = read_tensor(path)
         assert X.dims == (2, 3, 4)
         assert X[1, 2, 3] == -1.5
@@ -132,9 +147,16 @@ class TestCsvFormat:
 
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "x.csv"
-        path.write_text("# dims: 2 2 2\n1,1,5.0\n")
-        with pytest.raises(FormatError, match="i,j,k,value"):
-            read_tensor(path)
+        for text, message in (
+            ("# dims: 2 2 2\n1,1,5.0\n", "i,j,k,value"),
+            ("# dims: 2 2 2\n1,1,x,5.0\n", r"x\.csv:2: unparsable triplet"),
+            ("# dims: 2 2 2\n1,1,1,inf\n", r"x\.csv:2: non-finite value 'inf'"),
+            ("# dims: 2 2\n", r"x\.csv:1: malformed dims comment"),
+            ("# dims: 2 0 2\n", r"three positive integers, got \(2, 0, 2\)"),
+        ):
+            path.write_text(text)
+            with pytest.raises(FormatError, match=message):
+                read_tensor(path)
 
     def test_repeated_index_names_both_lines(self, tmp_path):
         path = tmp_path / "x.csv"

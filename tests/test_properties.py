@@ -1,6 +1,8 @@
 """Property tests over small random shapes: the invariants the README
 promises for unfolding, for CP and Tucker fits and for the rowspace
-projection."""
+projection, and for the boxplot statistics of a grid cell."""
+
+import math
 
 import numpy as np
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from corcomp import (
     frobenius_norm,
     orthonormal_operator,
     project_onto_rowspaces,
+    summarize,
     tucker3,
     tucker_operator,
     unfold,
@@ -97,3 +100,15 @@ def test_rowspace_projection_is_idempotent(case):
 def test_rowspace_projection_does_not_increase_the_norm(case):
     X, op = case
     assert frobenius_norm(project_onto_rowspaces(X, op)) <= frobenius_norm(X) * (1 + 1e-12)
+
+
+@SETTINGS
+@given(st.lists(st.one_of(st.floats(-1e6, 100.0), st.sampled_from((0.0, 100.0))),
+                min_size=1, max_size=60))
+def test_summarize_counts_outliers_and_winsorizes_to_the_whiskers(samples):
+    stats = summarize(samples)
+    lo, hi = stats.lower_whisker, stats.upper_whisker
+    assert stats.n_outliers == sum(1 for v in samples if not lo <= v <= hi)
+    clipped = [min(max(v, lo), hi) for v in samples]
+    scale = max(1.0, max(abs(v) for v in samples))
+    assert abs(stats.smoothed_mean - math.fsum(clipped) / len(clipped)) <= 1e-12 * scale

@@ -47,6 +47,8 @@ class TestDenseTensor3:
     def test_rejects_wrong_order(self):
         with pytest.raises(ShapeError):
             DenseTensor3(np.zeros((2, 2)))
+        with pytest.raises(ShapeError, match=r"positive, got \(2, 0, 2\)"):
+            DenseTensor3(np.zeros((2, 0, 2)))
 
     def test_rejects_wrong_flat_length(self):
         with pytest.raises(ShapeError):
@@ -149,6 +151,12 @@ class TestNModeProduct:
     def test_shape_mismatch_reports_shapes(self, random345):
         with pytest.raises(ShapeError, match=r"\(2, 7\).*\(3, 4, 5\)"):
             n_mode_product(random345, np.zeros((2, 7)), 1)
+        with pytest.raises(ShapeError, match=r"Z must be 2-D, got shape \(3,\)"):
+            n_mode_product(random345, np.zeros(3), 1)
+        with pytest.raises(ShapeError, match=r"positive dimensions, got shape \(0, 3\)"):
+            n_mode_product(random345, np.zeros((0, 3)), 1)
+        with pytest.raises(ValueError, match="Z contains non-finite entries"):
+            n_mode_product(random345, np.full((2, 3), np.nan), 1)
 
     def test_norm_bound_by_spectral_norm(self, random345):
         rng = np.random.default_rng(4)
