@@ -100,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", default=None)
     p.add_argument("--dims", type=int, nargs=3, metavar=("I", "J", "K"), default=None)
     p.add_argument("--schemes", nargs="+", choices=[s.value for s in Scheme],
-                   default=[s.value for s in grid.schemes],
+                   default=[s.value for s in grid.samples_per_cell],
                    help="compression schemes (default %(default)s)")
     p.add_argument("--ratios", type=float, nargs="+", default=grid.ratios,
                    help="compression ratios (default %(default)s)")
@@ -139,7 +139,7 @@ def _fit_config(args: argparse.Namespace, seed: int = FitConfig.seed) -> FitConf
 
 
 def _grid_config(args: argparse.Namespace, **cells) -> ExperimentConfig:
-    """The grid of ``cells`` (schemes, ratios, ...) under the shared grid flags."""
+    """The grid of ``cells`` (ratios, samples_per_cell) under the shared grid flags."""
     return ExperimentConfig(rank=args.rank, compressed_modes=frozenset(args.modes),
                             master_seed=args.seed, fit=_fit_config(args), **cells)
 
@@ -161,7 +161,7 @@ def _cmd_corcondia(args: argparse.Namespace) -> int:
     X = read_tensor(args.input, dims=_dims_arg(args))
     reports = corcondia_sweep(X, args.ranks, _fit_config(args, seed=args.seed))
     for rank, report in zip(args.ranks, reports):
-        print(f"{rank}\t{report.value:.6f}")
+        print(f"{rank}\t{report.value!r}")
         if report.factor_rank_deficient:
             print(f"corcomp: warning: rank {rank} is factor rank deficient "
                   f"(a fitted factor has numerical rank below {rank})", file=sys.stderr)
@@ -208,10 +208,12 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     if not args.input:
         raise ConfigError("experiment needs an input tensor (--input or input= in config)")
     X = read_tensor(args.input, dims=_dims_arg(args))
-    schemes = tuple(Scheme(name) for name in args.schemes)
+    for name in args.schemes:
+        if args.schemes.count(name) > 1:
+            raise ConfigError(f"scheme {name} is listed twice")
     cfg = _grid_config(
-        args, schemes=schemes, ratios=tuple(args.ratios),
-        samples_per_cell={sc: getattr(args, f"samples_{sc.value}") for sc in schemes},
+        args, ratios=tuple(args.ratios),
+        samples_per_cell={Scheme(name): getattr(args, f"samples_{name}") for name in args.schemes},
     )
     result = run_experiment(X, cfg)
     csv_lines = stats_csv_lines(result)
@@ -219,7 +221,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         _atomic_write(Path(args.out_json), experiment_to_json(result).encode())
     if args.out_csv:
         _atomic_write(Path(args.out_csv), ("\n".join(csv_lines) + "\n").encode())
-    print(f"baseline corcondia at rank {cfg.rank}: {result.baseline.value:.6f}")
+    print(f"baseline corcondia at rank {cfg.rank}: {result.baseline.value!r}")
     for line in csv_lines:
         print(line)
     return 0
@@ -227,7 +229,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 def _cmd_sample(args: argparse.Namespace) -> int:
     scheme = Scheme(args.scheme)
-    cfg = _grid_config(args, schemes=(scheme,), ratios=(args.ratio,))
+    cfg = _grid_config(args, ratios=(args.ratio,), samples_per_cell={scheme: 1})
     X = read_tensor(args.input, dims=_dims_arg(args))
     compressed, model, report = run_sample(X, cfg, scheme, args.ratio, args.index)
     if args.out_prefix:

@@ -259,8 +259,9 @@ def cp_als_batch(
     leave the stacks as they finish; copies of their factors then take
     the :class:`CpModel` norm convention, the one place it is applied.
 
-    Raises ``ShapeError`` when the tensors' dims differ and ``ValueError``
-    for an all-zero tensor, naming its index in a batch of two or more.
+    Raises ``ShapeError`` when the tensors' dims differ, ``ConfigError``
+    when :func:`check_cp_rank` rejects R, and ``ValueError`` for an
+    all-zero tensor, naming its index in a batch of two or more.
     """
     tensors = list(tensors)
     seeds = [check_seed(s, f"seeds[{t}]") for t, s in enumerate(seeds)]
@@ -272,12 +273,7 @@ def cp_als_batch(
     for t, X in enumerate(tensors):
         if X.dims != dims:
             raise ShapeError(f"tensor {t} has dims {X.dims}, tensor 0 has {dims}")
-    R = check_int(R, "R")
-    if R > max_feasible_cp_rank(dims):
-        raise ShapeError(
-            f"R={R} exceeds the feasible component count "
-            f"{max_feasible_cp_rank(dims)} for dims {dims}"
-        )
+    R = check_cp_rank(R, dims)
     norms = [frobenius_norm(X) for X in tensors]
     for t, norm_x in enumerate(norms):
         if norm_x == 0.0:

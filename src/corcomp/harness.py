@@ -36,7 +36,7 @@ from .compress import (
     ratio_to_dims,
     tucker_operator,
 )
-from .decomp import CpModel, FitConfig, cp_als, cp_als_batch, max_feasible_cp_rank
+from .decomp import CpModel, FitConfig, check_cp_rank, cp_als, cp_als_batch
 from .errors import ConfigError, StepError, check_int
 from .seeding import check_seed, mix_seed
 from .tensor import DenseTensor3
@@ -77,13 +77,14 @@ DEFAULT_SAMPLES = {Scheme.GAUSSIAN: 1000, Scheme.ORTHONORMAL: 1000, Scheme.TUCKE
 class ExperimentConfig:
     """Grid definition and sampling budget for one experiment run.
 
-    Defaults mirror the reference protocol: ratios from 50% down to 4%
-    over modes 1 and 2, 1000 samples for the random schemes and 10 for
-    the Tucker scheme, three CP components.
+    ``samples_per_cell`` maps each scheme of the grid to its Monte Carlo
+    sample count; its order is the order of the cells.  Defaults mirror
+    the reference protocol: ratios from 50% down to 4% over modes 1 and
+    2, 1000 samples for the random schemes and 10 for the Tucker scheme,
+    three CP components.
     """
 
     rank: int = 3
-    schemes: tuple[Scheme, ...] = (Scheme.GAUSSIAN, Scheme.ORTHONORMAL, Scheme.TUCKER)
     ratios: tuple[float, ...] = DEFAULT_RATIOS
     samples_per_cell: Mapping[Scheme, int] = field(default_factory=lambda: dict(DEFAULT_SAMPLES))
     compressed_modes: frozenset[int] = field(default_factory=lambda: frozenset(DEFAULT_MODES))
@@ -96,12 +97,12 @@ class ExperimentConfig:
         if self.fit.seed != FitConfig.seed:
             raise ConfigError(f"fit.seed must stay {FitConfig.seed}, got {self.fit.seed}: "
                               "every seed of a grid derives from master_seed")
-        schemes = tuple(Scheme(s) for s in self.schemes)
-        if not schemes:
-            raise ConfigError("schemes must be nonempty")
-        for scheme in schemes:
-            if schemes.count(scheme) > 1:
-                raise ConfigError(f"scheme {scheme.value} is listed twice")
+        samples = {}
+        for key, n in self.samples_per_cell.items():
+            scheme = Scheme(key)
+            samples[scheme] = check_int(n, f"samples_per_cell[{scheme.value}]")
+        if not samples:
+            raise ConfigError("samples_per_cell must name at least one scheme")
         ratios = tuple(float(r) for r in self.ratios)
         if not ratios:
             raise ConfigError("ratios must be nonempty")
@@ -109,17 +110,12 @@ class ExperimentConfig:
         for r in ratios:
             modes = RatioSpec(r, self.compressed_modes).compressed_modes  # validates r and modes
             bp = _basis_points(r)
-            if seen.get(bp) == r:
-                raise ConfigError(f"ratio {r} is listed twice")
             if bp in seen:
                 raise ConfigError(
-                    f"ratios {seen[bp]} and {r} round to the same basis point, so "
+                    f"ratios {seen[bp]} and {r} both round to basis point {bp}, so "
                     "their samples would draw identical operators"
                 )
             seen[bp] = r
-        given = {Scheme(k): v for k, v in self.samples_per_cell.items()}
-        samples = {s: check_int(given.get(s, 0), f"samples_per_cell[{s.value}]") for s in schemes}
-        object.__setattr__(self, "schemes", schemes)
         object.__setattr__(self, "ratios", ratios)
         object.__setattr__(self, "samples_per_cell", samples)
         object.__setattr__(self, "compressed_modes", modes)
@@ -222,12 +218,10 @@ def _target(X: DenseTensor3, cfg: ExperimentConfig, ratio: float) -> tuple[int, 
     """The dims X compresses to at ``ratio``, checked to support ``cfg.rank``
     CP components."""
     target = ratio_to_dims(X.dims, RatioSpec(ratio, cfg.compressed_modes))
-    feasible = max_feasible_cp_rank(target)
-    if cfg.rank > feasible:
-        raise ConfigError(
-            f"ratio {ratio} compresses {X.dims} to {target}, which supports at "
-            f"most {feasible} CP components (rank {cfg.rank} requested)"
-        )
+    try:
+        check_cp_rank(cfg.rank, target)
+    except ConfigError as exc:
+        raise ConfigError(f"ratio {ratio} compresses {X.dims} to {target}: {exc}") from None
     return target
 
 
@@ -327,8 +321,8 @@ def run_experiment(X: DenseTensor3, cfg: ExperimentConfig) -> ExperimentResult:
                         f"(fit seed {fit_seed}): {exc}") from exc
 
     # Keys in scheme-major order, the order of the JSON cells and CSV rows.
-    raw = {(scheme, ratio): [] for scheme in cfg.schemes for ratio in cfg.ratios}
-    per_scheme = [(scheme, range(cfg.samples_per_cell[scheme])) for scheme in cfg.schemes]
+    raw = {(scheme, ratio): [] for scheme in cfg.samples_per_cell for ratio in cfg.ratios}
+    per_scheme = [(scheme, range(n)) for scheme, n in cfg.samples_per_cell.items()]
     for ratio in cfg.ratios:
         for scheme, _, _, report in _ratio_samples(X, cfg, ratio, targets[ratio], per_scheme):
             raw[scheme, ratio].append(report.value)

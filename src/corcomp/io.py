@@ -128,14 +128,11 @@ def write_tensor(X: DenseTensor3, path: str | Path) -> None:
         lines.extend(repr(float(v)) for v in X.to_flat())
         payload = ("\n".join(lines) + "\n").encode()
     elif suffix == ".csv":
-        i_, j_, k_ = X.dims
         lines = ["# dims: %d %d %d" % X.dims]
-        for k in range(k_):
-            for j in range(j_):
-                for i in range(i_):
-                    v = float(X.data[i, j, k])
-                    if v != 0.0:
-                        lines.append(f"{i + 1},{j + 1},{k + 1},{v!r}")
+        # The transpose's nonzeros come out with the mode-1 index fastest.
+        nonzero = np.nonzero(X.data.T)
+        for k, j, i, v in zip(*nonzero, X.data.T[nonzero].tolist()):
+            lines.append(f"{i + 1},{j + 1},{k + 1},{v!r}")
         payload = ("\n".join(lines) + "\n").encode()
     else:
         header = _HEADER.pack(MAGIC, BINARY_VERSION, *X.dims)

@@ -118,13 +118,7 @@ class DenseTensor3:
     def __array__(self, dtype=None, copy=None):
         """A writable copy when ``copy`` is true (``np.array(X)``), else the
         read-only buffer unless ``dtype`` needs a cast (``np.asarray(X)``)."""
-        if copy:
-            return np.array(self._data, dtype=dtype)
-        if dtype is None or np.dtype(dtype) == self._data.dtype:
-            return self._data
-        if copy is False:
-            raise ValueError(f"casting to {np.dtype(dtype)} needs a copy")
-        return self._data.astype(dtype)
+        return np.array(self._data, dtype=dtype, copy=copy)
 
     def __repr__(self) -> str:
         return f"DenseTensor3(dims={self.dims})"

@@ -13,6 +13,7 @@ from corcomp import (
     RatioSpec,
     Scheme,
     compress,
+    corcondia_sweep,
     make_operator,
     ratio_to_dims,
     read_tensor,
@@ -53,7 +54,9 @@ class TestSynthAndCorcondia:
         rank, value = out.strip().split("\t")
         assert rank == "3"
         assert abs(float(value) - 100.0) <= 1e-6
-        assert value == f"{float(value):.6f}"
+        fit = FitConfig(max_iterations=2000, rel_tolerance=1e-12, restarts=2)
+        [report] = corcondia_sweep(read_tensor(exact_tensor_file), [3], fit)
+        assert value == repr(report.value)
 
     def test_synth_deterministic(self, tmp_path, capsys):
         a, b = tmp_path / "a.tns", tmp_path / "b.tns"
@@ -345,7 +348,7 @@ class TestExperimentCommand:
         assert code == 0
         doc = json.loads(out_json.read_text())
         assert doc["config"]["ratios"] == [0.5]  # flag overrode the file
-        assert doc["config"]["schemes"] == ["orthonormal"]
+        assert doc["config"]["samples_per_cell"] == {"orthonormal": 2}
         assert doc["config"]["master_seed"] == 11
 
     @pytest.mark.parametrize(
@@ -420,6 +423,12 @@ class TestExperimentCommand:
         code, _, err = run(self.BASE + ["--input", str(noisy_file)] + grid, capsys)
         assert code == 2
         assert "configuration error" in err
+
+    def test_repeated_scheme_exits_2_naming_it(self, noisy_file, capsys):
+        grid = ["--schemes", "tucker", "gaussian", "gaussian"]
+        code, _, err = run(self.BASE + ["--input", str(noisy_file)] + grid, capsys)
+        assert code == 2
+        assert "scheme gaussian is listed twice" in err
 
     def test_failing_sample_exits_1_with_its_coordinates(self, noisy_file, monkeypatch, capsys):
         import corcomp.harness as harness

@@ -65,7 +65,7 @@ class TestCpAls:
 
     def test_infeasible_rank(self):
         X, _ = random_cp_tensor((2, 2, 2), 1, seed=3)
-        with pytest.raises(ShapeError):
+        with pytest.raises(ConfigError, match=r"rank 5 is infeasible for dims \(2, 2, 2\)"):
             cp_als(X, 5, TIGHT)
 
     def test_fractional_rank_is_rejected_not_truncated(self):
@@ -86,7 +86,7 @@ class TestCpAls:
             ("restarts", 1.5, 2, lambda v: FitConfig(restarts=v), lambda c: c.restarts),
             ("seed", 1.7, 1, lambda v: FitConfig(seed=v), lambda c: c.seed),
             ("seeds[0]", 2.7, 2, lambda v: cp_als_batch([X], 2, short, [v]), None),
-            ("R", 2.7, 2, lambda v: cp_als(X, v, short), None),
+            ("rank", 2.7, 2, lambda v: cp_als(X, v, short), None),
             ("rank", 2.5, 2, lambda v: decomp.check_cp_rank(v, X.dims), lambda r: r),
             ("R", 2.5, 2, superdiagonal_identity, lambda G: G.dims[0]),
             ("target dim", 5.9, 5, lambda v: gaussian_operator((12, 10, 6), (v, 5, 6), 0),

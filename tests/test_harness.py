@@ -116,7 +116,6 @@ def small_exact_tensor():
 def small_config(**overrides):
     base = dict(
         rank=3,
-        schemes=(Scheme.GAUSSIAN, Scheme.ORTHONORMAL, Scheme.TUCKER),
         ratios=(0.5,),
         samples_per_cell={Scheme.GAUSSIAN: 4, Scheme.ORTHONORMAL: 4, Scheme.TUCKER: 2},
         compressed_modes=frozenset({1, 2}),
@@ -171,7 +170,6 @@ class TestRunExperiment:
 
     def test_lossless_orthonormal_at_ratio_one(self, small_exact_tensor):
         cfg = small_config(
-            schemes=(Scheme.ORTHONORMAL,),
             ratios=(1.0,),
             samples_per_cell={Scheme.ORTHONORMAL: 1},
             fit=FitConfig(max_iterations=1000, rel_tolerance=1e-12, restarts=2),
@@ -186,7 +184,6 @@ class TestRunExperiment:
                       factor_distribution="gaussian")
         )
         cfg = small_config(
-            schemes=(Scheme.TUCKER,),
             ratios=(0.5, 0.2, 0.08),
             samples_per_cell={Scheme.TUCKER: 2},
             master_seed=3,
@@ -207,9 +204,7 @@ class TestRunExperiment:
             return real_tucker3(*args, **kwargs)
 
         monkeypatch.setattr(compress_module, "tucker3", counting_tucker3)
-        cfg = small_config(
-            schemes=(Scheme.TUCKER,), ratios=(0.5, 0.2), samples_per_cell={Scheme.TUCKER: 3}
-        )
+        cfg = small_config(ratios=(0.5, 0.2), samples_per_cell={Scheme.TUCKER: 3})
         result = run_experiment(small_noisy_tensor, cfg)
         assert calls == [(15, 10, 8), (6, 4, 8)]
         assert all(cell.stats.n == 3 for cell in result.cells.values())
@@ -268,10 +263,10 @@ class TestRunExperiment:
         monkeypatch.setattr(harness, "BATCH_BYTES", batch_bytes)
         cfg = small_config(ratios=(0.5, 0.2))
         merged = run_experiment(small_noisy_tensor, cfg)
-        assert list(merged.cells) == [(scheme, ratio) for scheme in cfg.schemes
+        assert list(merged.cells) == [(scheme, ratio) for scheme in cfg.samples_per_cell
                                       for ratio in cfg.ratios]
-        for scheme in cfg.schemes:
-            alone = run_experiment(small_noisy_tensor, replace(cfg, schemes=(scheme,)))
+        for scheme, n in cfg.samples_per_cell.items():
+            alone = run_experiment(small_noisy_tensor, replace(cfg, samples_per_cell={scheme: n}))
             for key, cell in alone.cells.items():
                 assert merged.cells[key] == cell
                 assert (np.array(merged.cells[key].raw_samples).tobytes()
@@ -326,7 +321,7 @@ class TestRunExperiment:
             assert isinstance(info.value.__cause__, ValueError)
 
     def test_failing_batch_fit_names_the_sample_at_fault(self, small_noisy_tensor, monkeypatch):
-        cfg = small_config(schemes=(Scheme.GAUSSIAN,), samples_per_cell={Scheme.GAUSSIAN: 5})
+        cfg = small_config(samples_per_cell={Scheme.GAUSSIAN: 5})
         seed = sample_seed(cfg.master_seed, Scheme.GAUSSIAN, 0.5, 3)
         poisoned = compress(
             small_noisy_tensor, gaussian_operator(small_noisy_tensor.dims, (15, 10, 8), seed)
@@ -376,13 +371,14 @@ class TestRunExperiment:
 
         monkeypatch.setattr(harness, "corcondia", failing_corcondia)
         fit = FitConfig(max_iterations=37, rel_tolerance=3e-7, restarts=3)
-        cfg = small_config(schemes=(Scheme.ORTHONORMAL,), ratios=(0.3,), fit=fit,
+        cfg = small_config(samples_per_cell={Scheme.ORTHONORMAL: 4}, ratios=(0.3,), fit=fit,
                            compressed_modes=frozenset({1, 3}), rank=2, master_seed=11)
         with pytest.raises(StepError) as info:
             run_experiment(small_noisy_tensor, cfg)
         command = str(info.value).split("corcomp sample ")[1].split()
         args = cli.build_parser().parse_args(["sample", "--input", "x.tns", *command])
-        rerun = cli._grid_config(args, schemes=(Scheme(args.scheme),), ratios=(args.ratio,))
+        rerun = cli._grid_config(args, ratios=(args.ratio,),
+                                 samples_per_cell={Scheme(args.scheme): 1})
         assert (rerun.rank, rerun.compressed_modes, rerun.master_seed, rerun.fit) == (
             cfg.rank, cfg.compressed_modes, cfg.master_seed, cfg.fit
         )
@@ -390,14 +386,16 @@ class TestRunExperiment:
 
     def test_infeasible_cell_rejected_before_compute(self, small_noisy_tensor):
         # at ratio 0.04 modes 1 and 2 collapse to (1, 1, 8): max rank 1
-        with pytest.raises(ConfigError, match="0.04"):
+        message = (r"ratio 0.04 compresses \(30, 20, 8\) to \(1, 1, 8\): "
+                   r"rank 3 is infeasible for dims \(1, 1, 8\)")
+        with pytest.raises(ConfigError, match=message):
             run_experiment(small_noisy_tensor, small_config(ratios=(0.5, 0.04)))
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(rank=0)
-        with pytest.raises(ConfigError):
-            ExperimentConfig(schemes=())
+        with pytest.raises(ConfigError, match="samples_per_cell must name at least one scheme"):
+            ExperimentConfig(samples_per_cell={})
         with pytest.raises(ConfigError):
             ExperimentConfig(ratios=())
         with pytest.raises(ConfigError):
@@ -465,21 +463,18 @@ class TestRunExperiment:
 
         assert experiment_to_json(grid(np.int64)) == experiment_to_json(grid(int))
 
-    def test_json_records_only_the_listed_schemes_counts(self, small_noisy_tensor):
-        cfg = small_config(schemes=(Scheme.GAUSSIAN,),
-                           samples_per_cell={Scheme.GAUSSIAN: 2, Scheme.TUCKER: 7})
+    def test_samples_map_orders_the_cells_and_the_json(self, small_noisy_tensor):
+        cfg = small_config(samples_per_cell={Scheme.TUCKER: 1, Scheme.GAUSSIAN: 2})
         doc = json.loads(experiment_to_json(run_experiment(small_noisy_tensor, cfg)))
-        assert doc["config"]["samples_per_cell"] == {"gaussian": 2}
+        assert "schemes" not in doc["config"]
+        assert doc["config"]["samples_per_cell"] == {"tucker": 1, "gaussian": 2}
+        assert list(doc["config"]["samples_per_cell"]) == [c["scheme"] for c in doc["cells"]]
         assert list(doc["cells"][0]) == ["scheme", "ratio", "raw_samples", "stats"]
         assert "n_outliers" in doc["cells"][0]["stats"]
 
     def test_duplicate_ratio_rejected(self):
-        with pytest.raises(ConfigError, match="0.5"):
+        with pytest.raises(ConfigError, match="ratios 0.5 and 0.5 both round to basis point 5000"):
             small_config(ratios=(0.5, 0.2, 0.5))
-
-    def test_duplicate_scheme_rejected(self):
-        with pytest.raises(ConfigError, match="gaussian"):
-            small_config(schemes=(Scheme.GAUSSIAN, Scheme.TUCKER, Scheme.GAUSSIAN))
 
     def test_ratios_sharing_a_basis_point_rejected(self):
         # sample_seed rounds ratios to basis points: both would draw the

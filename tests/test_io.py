@@ -133,6 +133,14 @@ class TestCsvFormat:
         back = read_tensor(path)
         assert np.array_equal(back.data, random_tensor.data)
 
+    def test_writes_nonzeros_with_the_first_index_fastest(self, tmp_path):
+        arr = np.zeros((2, 2, 2))
+        arr[1, 0, 0], arr[0, 1, 0], arr[1, 1, 1] = 0.1, 5e-324, -2.5
+        arr[0, 0, 1] = -0.0  # equal to zero, so skipped
+        path = tmp_path / "x.csv"
+        write_tensor(DenseTensor3(arr), path)
+        assert path.read_text() == "# dims: 2 2 2\n2,1,1,0.1\n1,2,1,5e-324\n2,2,2,-2.5\n"
+
     def test_missing_dims(self, tmp_path):
         path = tmp_path / "x.csv"
         path.write_text("1,1,1,5.0\n")
