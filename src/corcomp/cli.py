@@ -25,8 +25,8 @@ from . import __version__
 from .compress import DEFAULT_MODES, Scheme
 from .corcondia import corcondia_sweep
 from .decomp import FitConfig
-from .errors import ConfigError, FormatError, ShapeError, StepError
-from .harness import TUCKER_TOLERANCE, ExperimentConfig, run_experiment, run_sample
+from .errors import ConfigError, StepError
+from .harness import DEFAULT_SAMPLES, TUCKER_TOLERANCE, ExperimentConfig, run_experiment, run_sample
 from .io import (
     SynthSpec,
     _atomic_write,
@@ -105,9 +105,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ratios", type=float, nargs="+", default=grid.ratios,
                    help="compression ratios (default %(default)s)")
     for scheme in Scheme:
-        p.add_argument(f"--samples-{scheme.value}", type=int,
-                       default=grid.samples_per_cell[scheme],
-                       help="samples per cell (default %(default)s)")
+        p.add_argument(f"--samples-{scheme.value}", type=int, default=None,
+                       help=f"samples per cell (default {DEFAULT_SAMPLES[scheme]}); "
+                            "only for a scheme in --schemes")
     _add_grid_flags(p, grid)
     p.add_argument("--workers", type=int, default=None,
                    help="accepted for compatibility; has no effect")
@@ -158,7 +158,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_corcondia(args: argparse.Namespace) -> int:
-    X = read_tensor(args.input, dims=_dims_arg(args))
+    X = read_tensor(args.input, dims=args.dims)
     reports = corcondia_sweep(X, args.ranks, _fit_config(args, seed=args.seed))
     for rank, report in zip(args.ranks, reports):
         print(f"{rank}\t{report.value!r}")
@@ -166,10 +166,6 @@ def _cmd_corcondia(args: argparse.Namespace) -> int:
             print(f"corcomp: warning: rank {rank} is factor rank deficient "
                   f"(a fitted factor has numerical rank below {rank})", file=sys.stderr)
     return 0
-
-
-def _dims_arg(args: argparse.Namespace) -> tuple[int, int, int] | None:
-    return tuple(args.dims) if getattr(args, "dims", None) else None
 
 
 # ---------------------------------------------------------------------------
@@ -207,14 +203,19 @@ def _config_argv(p: argparse.ArgumentParser, path: str) -> list[str]:
 def _cmd_experiment(args: argparse.Namespace) -> int:
     if not args.input:
         raise ConfigError("experiment needs an input tensor (--input or input= in config)")
-    X = read_tensor(args.input, dims=_dims_arg(args))
+    X = read_tensor(args.input, dims=args.dims)
     for name in args.schemes:
         if args.schemes.count(name) > 1:
             raise ConfigError(f"scheme {name} is listed twice")
-    cfg = _grid_config(
-        args, ratios=tuple(args.ratios),
-        samples_per_cell={Scheme(name): getattr(args, f"samples_{name}") for name in args.schemes},
-    )
+    counts = {}
+    for scheme in Scheme:
+        n = getattr(args, f"samples_{scheme.value}")
+        if n is not None and scheme.value not in args.schemes:
+            raise ConfigError(f"--samples-{scheme.value} is given, but --schemes leaves "
+                              f"{scheme.value} out")
+        counts[scheme] = DEFAULT_SAMPLES[scheme] if n is None else n
+    samples = {Scheme(name): counts[Scheme(name)] for name in args.schemes}
+    cfg = _grid_config(args, ratios=tuple(args.ratios), samples_per_cell=samples)
     result = run_experiment(X, cfg)
     csv_lines = stats_csv_lines(result)
     if args.out_json:
@@ -230,7 +231,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 def _cmd_sample(args: argparse.Namespace) -> int:
     scheme = Scheme(args.scheme)
     cfg = _grid_config(args, ratios=(args.ratio,), samples_per_cell={scheme: 1})
-    X = read_tensor(args.input, dims=_dims_arg(args))
+    X = read_tensor(args.input, dims=args.dims)
     compressed, model, report = run_sample(X, cfg, scheme, args.ratio, args.index)
     if args.out_prefix:
         prefix = Path(args.out_prefix)
@@ -259,7 +260,7 @@ def cli_main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"corcomp: configuration error: {exc}", file=sys.stderr)
         return 2
-    except (FormatError, ShapeError, ValueError, OSError, StepError) as exc:
+    except (ValueError, OSError, StepError) as exc:
         print(f"corcomp: error: {exc}", file=sys.stderr)
         return 1
 

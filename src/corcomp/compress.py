@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .decomp import FitConfig, tucker3
-from .errors import ConfigError, ShapeError, check_int
+from .errors import ConfigError, ShapeError, check_int, check_real
 from .seeding import check_seed
 from .tensor import DenseTensor3, _check_target, _multilinear, as_matrix
 
@@ -105,8 +105,10 @@ class RatioSpec:
     compressed_modes: frozenset[int] = field(default_factory=lambda: frozenset(DEFAULT_MODES))
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.ratio <= 1.0:
-            raise ConfigError(f"ratio must lie in (0, 1], got {self.ratio}")
+        ratio = check_real(self.ratio, "ratio")
+        if not 0.0 < ratio <= 1.0:
+            raise ConfigError(f"ratio must lie in (0, 1], got {ratio}")
+        object.__setattr__(self, "ratio", ratio)
         modes = frozenset(check_int(m, "compressed mode", 1, 3) for m in self.compressed_modes)
         if not modes:
             raise ConfigError("compressed modes must be nonempty")

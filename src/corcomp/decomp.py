@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError, check_int
+from .errors import ConfigError, ShapeError, check_int, check_real
 from .seeding import check_seed
 from .tensor import (
     DenseTensor3,
@@ -60,8 +60,10 @@ class FitConfig:
     def __post_init__(self) -> None:
         for name in ("max_iterations", "restarts"):
             object.__setattr__(self, name, check_int(getattr(self, name), name))
-        if not 0 < self.rel_tolerance < np.inf:
-            raise ConfigError("rel_tolerance must be finite and > 0")
+        tol = check_real(self.rel_tolerance, "rel_tolerance")
+        if tol <= 0:
+            raise ConfigError(f"rel_tolerance must be > 0, got {tol}")
+        object.__setattr__(self, "rel_tolerance", tol)
         object.__setattr__(self, "seed", check_seed(self.seed))
 
 
@@ -291,11 +293,9 @@ def cp_als_batch(
 
     # The largest mode's matrix, columns ordered as the Khatri-Rao product
     # of the two other factors: a free view of a C-ordered tensor whose
-    # first mode is the largest, else one copy per distinct tensor (a
-    # Tucker cell lists its tensor once per sample).
+    # first mode is the largest, else a copy.
     n = dims.index(max(dims))
-    moved = {id(X): np.moveaxis(X.data, n, 0).reshape(dims[n], -1) for X in tensors}
-    mats = [moved[id(X)] for X in tensors]
+    mats = [np.moveaxis(X.data, n, 0).reshape(dims[n], -1) for X in tensors]
     live = np.arange(members)
     live_mats, spans = _live_tensors(mats, live, restarts)
     G = [_gram(factor) for factor in F]

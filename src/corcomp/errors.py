@@ -1,6 +1,8 @@
-"""Exception types shared across the package, and :func:`check_int`, the one rule
-for a count, seed, index, mode or dim: an integer in range, never truncated."""
+"""Exception types shared across the package, :func:`check_int`, the one rule
+for a count, seed, index, mode or dim: an integer in range, never truncated,
+and :func:`check_real`, the one rule for a ratio, tolerance or noise level."""
 
+import math
 import numbers
 
 __all__ = ["ShapeError", "FormatError", "ConfigError", "StepError"]
@@ -33,3 +35,14 @@ def check_int(value, name: str, lo: int = 1, hi: int | None = None) -> int:
         bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
         raise ConfigError(f"{name} must be an integer {bound}, got {value!r}")
     return int(value)
+
+
+def check_real(value, name: str) -> float:
+    """``value`` as a float; :class:`ConfigError` unless a finite, non-bool Real."""
+    try:
+        finite = not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):  # not a number, or an int beyond float range
+        finite = False
+    if not finite or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a finite real number, got {value!r}")
+    return float(value)

@@ -37,7 +37,7 @@ from .compress import (
     tucker_operator,
 )
 from .decomp import CpModel, FitConfig, check_cp_rank, cp_als, cp_als_batch
-from .errors import ConfigError, StepError, check_int
+from .errors import ConfigError, StepError, check_int, check_real
 from .seeding import check_seed, mix_seed
 from .tensor import DenseTensor3
 
@@ -103,12 +103,11 @@ class ExperimentConfig:
             samples[scheme] = check_int(n, f"samples_per_cell[{scheme.value}]")
         if not samples:
             raise ConfigError("samples_per_cell must name at least one scheme")
-        ratios = tuple(float(r) for r in self.ratios)
-        if not ratios:
+        specs = [RatioSpec(r, self.compressed_modes) for r in self.ratios]
+        if not specs:
             raise ConfigError("ratios must be nonempty")
         seen: dict[int, float] = {}
-        for r in ratios:
-            modes = RatioSpec(r, self.compressed_modes).compressed_modes  # validates r and modes
+        for r in (spec.ratio for spec in specs):
             bp = _basis_points(r)
             if bp in seen:
                 raise ConfigError(
@@ -116,9 +115,9 @@ class ExperimentConfig:
                     "their samples would draw identical operators"
                 )
             seen[bp] = r
-        object.__setattr__(self, "ratios", ratios)
+        object.__setattr__(self, "ratios", tuple(seen.values()))
         object.__setattr__(self, "samples_per_cell", samples)
-        object.__setattr__(self, "compressed_modes", modes)
+        object.__setattr__(self, "compressed_modes", specs[0].compressed_modes)
 
 
 @dataclass(frozen=True)
@@ -245,50 +244,47 @@ def _ratio_samples(
     The cells share one compressed shape, so samples run in chunks of about
     ``BATCH_BYTES`` that fill across cell boundaries, one
     :func:`cp_als_batch` call per chunk.  ``tucker3`` ignores its seed, so a
-    Tucker cell compresses once, with its first index's seed.  A failing
-    step raises :class:`StepError` with its coordinates and the ``corcomp
-    sample`` rerun (a failed batch fit refits its samples one at a time to
-    find it); exceptions other than ``ValueError`` are bugs and pass through.
+    Tucker cell compresses once, with the seed of the first sample it meets.
+    A chunk that raises ``ValueError`` reruns its samples one at a time, and
+    the first that fails alone raises :class:`StepError` with its
+    coordinates and the ``corcomp sample`` rerun; if none does, the chunk's
+    error passes through, as do exceptions other than ``ValueError`` (bugs).
     """
     samples = [(scheme, s) for scheme, indices in cells for s in indices]
     seeds = {(scheme, s): sample_seed(cfg.master_seed, scheme, ratio, s) for scheme, s in samples}
+    tucker: dict[Scheme, DenseTensor3] = {}
 
-    def sample_failed(scheme: Scheme, s: int, exc: Exception) -> StepError:
-        return StepError(
-            f"sample {s} of cell ({scheme.value}, {ratio}) failed "
-            f"(operator seed {seeds[scheme, s]}): {exc}" + _rerun_hint(cfg, scheme, ratio, s)
-        )
+    def computed(chunk: list[tuple[Scheme, int]]) -> list[tuple]:
+        tensors = []
+        for scheme, s in chunk:
+            Xc = tucker.get(scheme)
+            if Xc is None:
+                Xc = compress(X, make_operator(X, scheme, target, seeds[scheme, s]))
+                if scheme is Scheme.TUCKER:
+                    tucker[scheme] = Xc
+            tensors.append(Xc)
+        fit_seeds = [mix_seed(seeds[sample], FIT_TAG) for sample in chunk]
+        models = cp_als_batch(tensors, cfg.rank, cfg.fit, fit_seeds)
+        return [(Xc, model, corcondia(Xc, model)) for Xc, model in zip(tensors, models)]
 
-    def compressed(scheme: Scheme, s: int) -> DenseTensor3:
-        try:
-            return compress(X, make_operator(X, scheme, target, seeds[scheme, s]))
-        except ValueError as exc:
-            raise sample_failed(scheme, s, exc) from exc
-
-    shared = {scheme: compressed(scheme, indices.start)
-              for scheme, indices in cells if scheme is Scheme.TUCKER}
     per_batch = max(1, BATCH_BYTES // (8 * int(np.prod(target))))
     for start in range(0, len(samples), per_batch):
         chunk = samples[start:start + per_batch]
-        tensors = [shared[scheme] if scheme in shared else compressed(scheme, s)
-                   for scheme, s in chunk]
-        fit_seeds = [mix_seed(seeds[sample], FIT_TAG) for sample in chunk]
         try:
-            models = cp_als_batch(tensors, cfg.rank, cfg.fit, fit_seeds)
+            results = computed(chunk)
         except ValueError:
-            # Batch and single fits agree bit for bit: if no sample fails alone, it is a bug.
-            for sample, Xc, fit_seed in zip(chunk, tensors, fit_seeds):
+            # A sample computes alike alone and in a chunk: if none fails alone, it is a bug.
+            for scheme, s in chunk:
                 try:
-                    cp_als_batch([Xc], cfg.rank, cfg.fit, [fit_seed])
+                    computed([(scheme, s)])
                 except ValueError as exc:
-                    raise sample_failed(*sample, exc) from exc
+                    raise StepError(
+                        f"sample {s} of cell ({scheme.value}, {ratio}) failed (operator seed "
+                        f"{seeds[scheme, s]}): {exc}" + _rerun_hint(cfg, scheme, ratio, s)
+                    ) from exc
             raise
-        for (scheme, s), Xc, model in zip(chunk, tensors, models):
-            try:
-                report = corcondia(Xc, model)
-            except ValueError as exc:
-                raise sample_failed(scheme, s, exc) from exc
-            yield scheme, Xc, model, report
+        for (scheme, _), result in zip(chunk, results):
+            yield (scheme, *result)
 
 
 def run_sample(
@@ -300,6 +296,7 @@ def run_sample(
     is a :class:`ConfigError`: the seed derivation would map it onto a
     smaller index's streams."""
     index = check_seed(index, "sample index")
+    ratio = check_real(ratio, "ratio")
     cell = [(scheme, range(index, index + 1))]
     return next(_ratio_samples(X, cfg, ratio, _target(X, cfg, ratio), cell))[1:]
 

@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .decomp import check_cp_rank
-from .errors import ConfigError, FormatError, check_int
+from .errors import ConfigError, FormatError, check_int, check_real
 from .harness import ExperimentResult, SummaryStats
 from .seeding import check_seed
 from .tensor import DenseTensor3, frobenius_norm, reconstruct_cp
@@ -70,8 +70,10 @@ class SynthSpec:
         dims = tuple(check_int(d, "dim") for d in self.dims)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "rank", check_cp_rank(self.rank, dims))
-        if not 0 <= self.noise_level < np.inf:
-            raise ConfigError("noise_level must be finite and >= 0")
+        noise = check_real(self.noise_level, "noise_level")
+        if noise < 0:
+            raise ConfigError(f"noise_level must be >= 0, got {noise}")
+        object.__setattr__(self, "noise_level", noise)
         if self.factor_distribution not in ("uniform", "gaussian"):
             raise ConfigError(
                 f"factor_distribution must be 'uniform' or 'gaussian', "

@@ -430,6 +430,42 @@ class TestExperimentCommand:
         assert code == 2
         assert "scheme gaussian is listed twice" in err
 
+    def test_count_for_an_unlisted_scheme_exits_2_naming_the_flag(
+        self, noisy_file, tmp_path, capsys
+    ):
+        argv = ["experiment", "--input", str(noisy_file), "--ratios", "0.5",
+                "--schemes", "gaussian", "--samples-gaussian", "2"]
+        code, out, err = run(argv + ["--samples-tucker", "7"], capsys)
+        assert (code, out) == (2, "")
+        assert "--samples-tucker is given, but --schemes leaves tucker out" in err
+
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text("schemes = gaussian\nsamples-orthonormal = 3\n")
+        code, out, err = run(["experiment", "--config", str(cfg_file)] + argv[1:5], capsys)
+        assert (code, out) == (2, "")
+        assert "--samples-orthonormal is given" in err
+
+    def test_listed_scheme_without_a_count_takes_the_default(self, noisy_file, monkeypatch):
+        import corcomp.cli as cli
+
+        class Captured(Exception):
+            pass
+
+        def capture(X, cfg):
+            raise Captured(cfg)
+
+        monkeypatch.setattr(cli, "run_experiment", capture)
+        argv = ["experiment", "--input", str(noisy_file), "--ratios", "0.5"]
+        for extra, samples in (
+            ([], {Scheme.GAUSSIAN: 1000, Scheme.ORTHONORMAL: 1000, Scheme.TUCKER: 10}),
+            (["--schemes", "tucker", "gaussian", "--samples-gaussian", "3"],
+             {Scheme.TUCKER: 10, Scheme.GAUSSIAN: 3}),
+        ):
+            with pytest.raises(Captured) as info:
+                cli_main(argv + extra)
+            got = info.value.args[0].samples_per_cell
+            assert got == samples and list(got) == list(samples)
+
     def test_failing_sample_exits_1_with_its_coordinates(self, noisy_file, monkeypatch, capsys):
         import corcomp.harness as harness
 

@@ -320,6 +320,45 @@ class TestRunExperiment:
             assert message.endswith(rerun), step
             assert isinstance(info.value.__cause__, ValueError)
 
+        # At 3 samples per chunk orthonormal sample 2 opens the third chunk:
+        # its operator fails before that chunk's fit, its diagnostic after.
+        real_batch = harness.cp_als_batch
+        monkeypatch.setattr(harness, "BATCH_BYTES", 3 * 15 * 10 * 8 * 8)
+        for step, failing, sizes in (("orthonormal_operator", failing_operator, [3, 3]),
+                                     ("corcondia", failing_corcondia, [3, 3, 3, 1])):
+            batch_sizes = []
+
+            def recording_batch(tensors, *args):
+                batch_sizes.append(len(tensors))
+                return real_batch(tensors, *args)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(harness, step, failing)
+                patch.setattr(harness, "cp_als_batch", recording_batch)
+                with pytest.raises(StepError) as info:
+                    run_experiment(small_noisy_tensor, cfg)
+            assert f"sample 2 of cell (orthonormal, 0.5) failed (operator seed {seed})" \
+                in str(info.value), step
+            assert str(info.value).endswith(rerun), step
+            assert batch_sizes == sizes, step
+
+    def test_failing_tucker_operator_names_its_first_sample(
+        self, small_noisy_tensor, monkeypatch
+    ):
+        def failing_operator(X, target, cfg):
+            raise ValueError("operator exploded")
+
+        monkeypatch.setattr(harness, "tucker_operator", failing_operator)
+        cfg = small_config()
+        with pytest.raises(StepError) as info:
+            run_experiment(small_noisy_tensor, cfg)
+        seed = sample_seed(cfg.master_seed, Scheme.TUCKER, 0.5, 0)
+        message = str(info.value)
+        assert message.startswith(f"sample 0 of cell (tucker, 0.5) failed (operator seed {seed}): "
+                                  "operator exploded; rerun it")
+        assert "corcomp sample --scheme tucker --ratio 0.5 --index 0 --seed 7" in message
+        assert isinstance(info.value.__cause__, ValueError)
+
     def test_failing_batch_fit_names_the_sample_at_fault(self, small_noisy_tensor, monkeypatch):
         cfg = small_config(samples_per_cell={Scheme.GAUSSIAN: 5})
         seed = sample_seed(cfg.master_seed, Scheme.GAUSSIAN, 0.5, 3)
@@ -448,6 +487,57 @@ class TestRunExperiment:
             out = build(np.int64(whole))
             if stored is not None:
                 assert type(stored(out)) is int and stored(out) == whole, name
+
+    def test_non_real_settings_rejected(self):
+        # Every real setting of a grid and an input tensor: (name, build, the
+        # stored value).  A bool, a string, NaN or an infinity is rejected.
+        rows = [
+            ("ratio", lambda v: RatioSpec(v), lambda spec: spec.ratio),
+            ("ratio", lambda v: small_config(ratios=(v,)), lambda c: c.ratios[0]),
+            ("rel_tolerance", lambda v: FitConfig(rel_tolerance=v), lambda fit: fit.rel_tolerance),
+            ("noise_level", lambda v: SynthSpec((4, 4, 4), 2, noise_level=v),
+             lambda spec: spec.noise_level),
+        ]
+        for name, build, stored in rows:
+            for bad in (True, "0.5", float("nan"), np.float64("nan"), np.inf):
+                with pytest.raises(ConfigError, match=f"{name} must be a finite real number"):
+                    build(bad)
+            out = build(np.float32(0.5))
+            assert type(stored(out)) is float and stored(out) == 0.5, name
+        with pytest.raises(ConfigError, match="rel_tolerance must be a finite real number"):
+            FitConfig(rel_tolerance="1e-8")
+        with pytest.raises(ConfigError, match="ratio must be a finite real number"):
+            RatioSpec(10**400)
+
+    def test_numpy_float_settings_round_trip_to_json(self):
+        X = synth_tensor(SynthSpec(dims=(12, 10, 6), rank=2, noise_level=0.05, seed=0))
+        tol = np.float32(1e-7)
+
+        def grid(tol, ratio):
+            return run_experiment(X, ExperimentConfig(
+                rank=2, ratios=(ratio,), master_seed=5,
+                samples_per_cell={Scheme.GAUSSIAN: 2, Scheme.TUCKER: 1},
+                fit=FitConfig(max_iterations=30, rel_tolerance=tol, restarts=2),
+            ))
+
+        assert (experiment_to_json(grid(tol, np.float64(0.5)))
+                == experiment_to_json(grid(float(tol), 0.5)))
+
+    def test_numpy_float_rerun_command_parses(self, small_noisy_tensor, monkeypatch):
+        def failing_corcondia(X, model):
+            raise ValueError("diagnostic exploded")
+
+        fit = FitConfig(max_iterations=37, rel_tolerance=np.float64(3e-7), restarts=3)
+        cfg = small_config(samples_per_cell={Scheme.ORTHONORMAL: 1}, ratios=(np.float64(0.3),),
+                           fit=fit)
+        monkeypatch.setattr(harness, "corcondia", failing_corcondia)
+        with pytest.raises(StepError) as info:
+            harness.run_sample(small_noisy_tensor, cfg, Scheme.ORTHONORMAL, np.float64(0.3), 0)
+        command = str(info.value).split("corcomp sample ")[1].split()
+        assert command[command.index("--tol") + 1] == "3e-07"
+        args = cli.build_parser().parse_args(["sample", "--input", "x.tns", *command])
+        assert cli._fit_config(args) == cfg.fit
+        assert args.ratio == 0.3
 
     def test_numpy_integer_settings_round_trip_to_json(self):
         X = synth_tensor(SynthSpec(dims=(12, 10, 6), rank=2, noise_level=0.05, seed=0))
