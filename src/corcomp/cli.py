@@ -182,7 +182,11 @@ def _config_argv(p: argparse.ArgumentParser, path: str) -> list[str]:
     """
     actions = {a.dest: a for a in p._actions if a.dest not in ("help", "config")}
     argv: list[str] = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    try:
+        lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

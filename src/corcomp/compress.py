@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .decomp import FitConfig, tucker3
-from .errors import ConfigError, ShapeError, check_int, check_real
+from .errors import ConfigError, ShapeError, check_dims, check_int, check_real
 from .seeding import check_seed
 from .tensor import DenseTensor3, _check_target, _multilinear, as_matrix
 
@@ -120,14 +120,10 @@ def ratio_to_dims(dims: tuple[int, int, int], spec: RatioSpec) -> tuple[int, int
     each compressed mode; other modes are unchanged.  The product is
     rounded to 9 decimals before the floor, so 0.29 of 100 is 29 and not
     the 28 that ``0.29 * 100 == 28.999999999999996`` would give."""
-    out = []
-    for mode, d in zip((1, 2, 3), dims):
-        d = check_int(d, "dim")
-        if mode in spec.compressed_modes:
-            out.append(max(1, math.floor(round(spec.ratio * d, 9))))
-        else:
-            out.append(d)
-    return tuple(out)  # type: ignore[return-value]
+    return tuple(  # type: ignore[return-value]
+        max(1, math.floor(round(spec.ratio * d, 9))) if mode in spec.compressed_modes else d
+        for mode, d in enumerate(check_dims(dims), start=1)
+    )
 
 
 def gaussian_operator(

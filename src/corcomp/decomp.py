@@ -429,15 +429,14 @@ def pseudoinverse(M) -> np.ndarray:
     largest_singular_value`` are treated as zero, so the zero matrix maps
     to the zero matrix of transposed shape.
     """
-    return pseudoinverse_and_rank(M)[0]
+    return pseudoinverse_and_rank(as_matrix(M, "M"))[0]
 
 
-def pseudoinverse_and_rank(M) -> tuple[np.ndarray, int]:
-    """:func:`pseudoinverse` and the number of singular values it kept,
-    the numerical rank of M, from one SVD."""
-    Mm = as_matrix(M, "M")
-    U, s, Vt = np.linalg.svd(Mm, full_matrices=False)
-    tol = max(Mm.shape) * np.finfo(np.float64).eps * (s[0] if s.size else 0.0)
+def pseudoinverse_and_rank(M: np.ndarray) -> tuple[np.ndarray, int]:
+    """:func:`pseudoinverse` of a matrix :func:`as_matrix` has checked, and the
+    number of singular values it kept, the numerical rank of M, from one SVD."""
+    U, s, Vt = np.linalg.svd(M, full_matrices=False)
+    tol = max(M.shape) * np.finfo(np.float64).eps * (s[0] if s.size else 0.0)
     inv = np.zeros_like(s)
     keep = s > tol
     inv[keep] = 1.0 / s[keep]

@@ -1,6 +1,7 @@
-"""Exception types shared across the package, :func:`check_int`, the one rule
-for a count, seed, index, mode or dim: an integer in range, never truncated,
-and :func:`check_real`, the one rule for a ratio, tolerance or noise level."""
+"""Exception types shared across the package and the one rule for each kind
+of setting: :func:`check_int` for a count, seed, index, mode or dim (an integer
+in range, never truncated), :func:`check_dims` for a dims triple and
+:func:`check_real` for a ratio, tolerance or noise level."""
 
 import math
 import numbers
@@ -35,6 +36,14 @@ def check_int(value, name: str, lo: int = 1, hi: int | None = None) -> int:
         bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
         raise ConfigError(f"{name} must be an integer {bound}, got {value!r}")
     return int(value)
+
+
+def check_dims(dims, name: str = "dim") -> tuple[int, int, int]:
+    """``dims`` as a triple of ints; :class:`ShapeError` unless it has three
+    entries, and each entry must pass :func:`check_int` as ``name``."""
+    if len(dims) != 3:
+        raise ShapeError(f"{name}s must be a triple, got {dims!r}")
+    return tuple(check_int(d, name) for d in dims)  # type: ignore[return-value]
 
 
 def check_real(value, name: str) -> float:

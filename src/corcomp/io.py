@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .decomp import check_cp_rank
-from .errors import ConfigError, FormatError, check_int, check_real
+from .errors import ConfigError, FormatError, check_dims, check_real
 from .harness import ExperimentResult, SummaryStats
 from .seeding import check_seed
 from .tensor import DenseTensor3, frobenius_norm, reconstruct_cp
@@ -65,9 +65,7 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if len(self.dims) != 3:
-            raise ConfigError(f"dims must be three positive integers, got {self.dims}")
-        dims = tuple(check_int(d, "dim") for d in self.dims)
+        dims = check_dims(self.dims)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "rank", check_cp_rank(self.rank, dims))
         noise = check_real(self.noise_level, "noise_level")
@@ -146,19 +144,25 @@ def read_tensor(path: str | Path, dims: tuple[int, int, int] | None = None) -> D
     """Read a tensor file (format auto-detected; see module docstring).
 
     ``dims`` gives the dims of a CSV file without a ``# dims:`` line; a
-    file that states its dims must state the same ones.
+    file that states its dims must state the same ones.  A file that does
+    not decode (UTF-8, a leading BOM ignored) or that :class:`DenseTensor3`
+    rejects is a :class:`FormatError` naming the path.
     """
     path = Path(path)
-    dims = None if dims is None else tuple(check_int(d, "dim") for d in dims)  # type: ignore
-    raw = path.read_bytes()
-    if raw[:4] == MAGIC:
-        X = _read_binary(raw, path)
-    elif path.suffix.lower() in (".tns", ".bin"):
-        raise FormatError(f"{path}: bad magic bytes {raw[:4]!r} (expected {MAGIC!r})")
-    elif path.suffix.lower() == ".csv":
-        X = _read_csv(raw.decode(), path, dims)
-    else:
-        X = _read_text(raw.decode(), path)
+    dims = None if dims is None else check_dims(dims)
+    raw, suffix = path.read_bytes(), path.suffix.lower()
+    try:
+        if raw[:4] == MAGIC:
+            X = _read_binary(raw, path)
+        elif suffix in (".tns", ".bin"):
+            raise FormatError(f"{path}: bad magic bytes {raw[:4]!r} (expected {MAGIC!r})")
+        else:
+            text = raw.decode("utf-8-sig")
+            X = _read_csv(text, path, dims) if suffix == ".csv" else _read_text(text, path)
+    except FormatError:
+        raise
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
     if dims is not None and dims != X.dims:
         raise FormatError(
             f"{path}: dims argument {dims} differs from the file's dims {X.dims}"
@@ -172,8 +176,6 @@ def _read_binary(raw: bytes, path: Path) -> DenseTensor3:
     magic, version, i, j, k = _HEADER.unpack_from(raw)
     if version != BINARY_VERSION:
         raise FormatError(f"{path}: unsupported format version {version}")
-    if min(i, j, k) < 1:
-        raise FormatError(f"{path}: dims must be positive, got {(i, j, k)}")
     expected = 8 * i * j * k
     actual = len(raw) - _HEADER.size
     if actual != expected:
@@ -182,8 +184,6 @@ def _read_binary(raw: bytes, path: Path) -> DenseTensor3:
             f"found {actual}"
         )
     values = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size)
-    if not np.all(np.isfinite(values)):
-        raise FormatError(f"{path}: payload contains non-finite values")
     return DenseTensor3.from_flat(values, (i, j, k))
 
 
@@ -199,8 +199,6 @@ def _read_text(text: str, path: Path) -> DenseTensor3:
         i, j, k = (int(h) for h in head)
     except ValueError as exc:
         raise FormatError(f"{path}: non-integer dims in header {lines[0]!r}") from exc
-    if min(i, j, k) < 1:
-        raise FormatError(f"{path}: dims must be positive, got {(i, j, k)}")
     body = lines[1:]
     if len(body) != i * j * k:
         raise FormatError(
@@ -210,8 +208,6 @@ def _read_text(text: str, path: Path) -> DenseTensor3:
         values = np.array([float(v) for v in body])
     except ValueError as exc:
         raise FormatError(f"{path}: unparsable value: {exc}") from exc
-    if not np.all(np.isfinite(values)):
-        raise FormatError(f"{path}: file contains non-finite values")
     return DenseTensor3.from_flat(values, (i, j, k))
 
 
@@ -231,13 +227,11 @@ def _read_csv(
                 if dims_line:
                     raise FormatError(f"{path}:{lineno}: dims line repeats line {dims_line}")
                 dims_line = lineno
-                parts = stripped[5:].split()
                 try:
-                    if len(parts) != 3:
-                        raise ValueError
-                    header_dims = tuple(int(p) for p in parts)  # type: ignore[assignment]
-                except ValueError:
+                    i, j, k = (int(p) for p in stripped[5:].split())
+                except ValueError:  # not an integer, or not three of them
                     raise FormatError(f"{path}:{lineno}: malformed dims comment {ln!r}") from None
+                header_dims = (i, j, k)
             continue
         parts = ln.split(",")
         if len(parts) != 4:
@@ -257,8 +251,6 @@ def _read_csv(
         raise FormatError(
             f"{path}: CSV input needs dims via a '# dims: I J K' line or the dims argument"
         )
-    if len(use_dims) != 3 or min(use_dims) < 1:
-        raise FormatError(f"{path}: dims must be three positive integers, got {use_dims}")
     arr = np.zeros(use_dims)
     first_line: dict[tuple[int, int, int], int] = {}
     for i, j, k, v, lineno in entries:

@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ShapeError, check_int
+from .errors import ShapeError, check_dims, check_int
 
 __all__ = [
     "DenseTensor3",
@@ -83,14 +83,14 @@ class DenseTensor3:
         if min(arr.shape) < 1:
             raise ShapeError(f"all dims must be positive, got {arr.shape}")
         if not np.all(np.isfinite(arr)):
-            raise ValueError("tensor entries must all be finite")
+            raise ValueError("tensor contains non-finite values")
         arr.setflags(write=False)
         self._data = arr
 
     @classmethod
     def from_flat(cls, values: Sequence[float], dims: tuple[int, int, int]) -> "DenseTensor3":
         """Build a tensor from mode-1-fastest flat values (see layout contract)."""
-        i, j, k = (check_int(d, "dim") for d in dims)
+        i, j, k = check_dims(dims)
         flat = np.asarray(values, dtype=np.float64).ravel()
         if flat.size != i * j * k:
             raise ShapeError(
@@ -145,7 +145,7 @@ def fold(M, mode: int, dims: tuple[int, int, int]) -> DenseTensor3:
     """Inverse of :func:`unfold`: rebuild the tensor with the given dims."""
     _check_mode(mode)
     arr = as_matrix(M, "unfolding")
-    dims = tuple(check_int(d, "dim") for d in dims)  # type: ignore[assignment]
+    dims = check_dims(dims)
     rest = [dims[m - 1] for m in _MODES if m != mode]
     expected = (dims[mode - 1], rest[0] * rest[1])
     if arr.shape != expected:
@@ -210,10 +210,7 @@ def _check_factor_columns(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> int:
 
 
 def _check_target(dims, target) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
-    if len(dims) != 3 or len(target) != 3:
-        raise ShapeError("dims and target must be triples")
-    dims = tuple(check_int(d, "dim") for d in dims)
-    target = tuple(check_int(t, "target dim") for t in target)
+    dims, target = check_dims(dims), check_dims(target, "target dim")
     for mode, (t, d) in enumerate(zip(target, dims), start=1):
         if t > d:
             raise ShapeError(f"target mode-{mode} size {t} exceeds source size {d}")

@@ -392,6 +392,13 @@ class TestExperimentCommand:
         assert outs[0] == outs[1] == outs[2]
         assert json.loads(outs[0])["config"]["fit"]["max_iterations"] == 40
 
+    def test_undecodable_config_file_exits_2_naming_it(self, tmp_path, capsys):
+        cfg_file = tmp_path / "bad.cfg"
+        cfg_file.write_bytes(b"rank = 3\nseed = \xff\n")
+        code, out, err = run(["experiment", "--config", str(cfg_file)], capsys)
+        assert (code, out) == (2, "")
+        assert f"configuration error: {cfg_file}: 'utf-8' codec can't decode" in err
+
     def test_unknown_flag_exits_2(self, capsys):
         code, _, _ = run(["experiment", "--frobnicate"], capsys)
         assert code == 2

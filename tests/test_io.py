@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,12 @@ class TestBinaryFormat:
         with pytest.raises(FormatError, match="non-finite"):
             read_tensor(path)
 
+    def test_zero_dim_header_names_the_path(self, tmp_path):
+        path = tmp_path / "x.tns"
+        path.write_bytes(b"TNS3\x01" + struct.pack("<III", 2, 0, 2))
+        with pytest.raises(FormatError, match=r"x\.tns: dim must be an integer >= 1, got 0"):
+            read_tensor(path)
+
 
 class TestTextFormat:
     def test_roundtrip_exact(self, tmp_path, random_tensor):
@@ -93,14 +101,15 @@ class TestTextFormat:
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "x.txt"
-        for text, message in (
-            ("2 2\n", "header"),
-            ("", "empty tensor file"),
-            ("# a comment only\n\n", "empty tensor file"),
-            ("2 x 2\n", "non-integer dims"),
-            ("2 0 2\n", r"dims must be positive, got \(2, 0, 2\)"),
+        for raw, message in (
+            (b"2 2\n", "header"),
+            (b"", "empty tensor file"),
+            (b"# a comment only\n\n", "empty tensor file"),
+            (b"2 x 2\n", "non-integer dims"),
+            (b"2 0 2\n", r"x\.txt: dim must be an integer >= 1, got 0"),
+            (b"1 1 1\n\xff\n", r"x\.txt: 'utf-8' codec can't decode byte 0xff"),
         ):
-            path.write_text(text)
+            path.write_bytes(raw)
             with pytest.raises(FormatError, match=message):
                 read_tensor(path)
 
@@ -155,14 +164,15 @@ class TestCsvFormat:
 
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "x.csv"
-        for text, message in (
-            ("# dims: 2 2 2\n1,1,5.0\n", "i,j,k,value"),
-            ("# dims: 2 2 2\n1,1,x,5.0\n", r"x\.csv:2: unparsable triplet"),
-            ("# dims: 2 2 2\n1,1,1,inf\n", r"x\.csv:2: non-finite value 'inf'"),
-            ("# dims: 2 2\n", r"x\.csv:1: malformed dims comment"),
-            ("# dims: 2 0 2\n", r"three positive integers, got \(2, 0, 2\)"),
+        for raw, message in (
+            (b"# dims: 2 2 2\n1,1,5.0\n", "i,j,k,value"),
+            (b"# dims: 2 2 2\n1,1,x,5.0\n", r"x\.csv:2: unparsable triplet"),
+            (b"# dims: 2 2 2\n1,1,1,inf\n", r"x\.csv:2: non-finite value 'inf'"),
+            (b"# dims: 2 2\n", r"x\.csv:1: malformed dims comment"),
+            (b"# dims: 2 0 2\n", r"x\.csv: all dims must be positive, got \(2, 0, 2\)"),
+            (b"# dims: 1 1 1\n1,1,1,\xff\n", r"x\.csv: 'utf-8' codec can't decode byte 0xff"),
         ):
-            path.write_text(text)
+            path.write_bytes(raw)
             with pytest.raises(FormatError, match=message):
                 read_tensor(path)
 
@@ -188,6 +198,15 @@ def test_dims_argument_must_match_the_file(tmp_path, random_tensor, name):
     with pytest.raises(FormatError, match=r"\(4, 4, 5\) differs .* \(3, 4, 5\)"):
         read_tensor(path, dims=(4, 4, 5))
     assert np.array_equal(read_tensor(path, dims=(3, 4, 5)).data, random_tensor.data)
+
+
+@pytest.mark.parametrize("name", ["x.txt", "x.csv"])
+def test_a_leading_bom_is_ignored(tmp_path, random_tensor, name):
+    # Excel's "CSV UTF-8" starts the file with one.
+    path = tmp_path / name
+    write_tensor(random_tensor, path)
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert np.array_equal(read_tensor(path).data, random_tensor.data)
 
 
 class TestSynth:

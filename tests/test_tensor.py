@@ -1,15 +1,23 @@
+import re
+
 import numpy as np
 import pytest
 
 from corcomp import (
     DenseTensor3,
+    RatioSpec,
     ShapeError,
+    SynthSpec,
     fold,
     frobenius_norm,
+    gaussian_operator,
     n_mode_product,
+    ratio_to_dims,
+    read_tensor,
     reconstruct_cp,
     reconstruct_tucker,
     superdiagonal_identity,
+    tucker3,
     unfold,
 )
 
@@ -239,6 +247,31 @@ class TestReconstruct:
     def test_core_factor_mismatch(self):
         with pytest.raises(ShapeError):
             reconstruct_tucker(superdiagonal_identity(2), np.ones((3, 3)), np.ones((4, 2)), np.ones((5, 2)))
+
+
+@pytest.mark.parametrize("triple", [(2, 3), (2, 3, 4, 5)])
+@pytest.mark.parametrize(
+    "setting, build",
+    [
+        pytest.param("dims", lambda t: ratio_to_dims(t, RatioSpec(0.5)), id="ratio_to_dims"),
+        pytest.param("dims", lambda t: fold(np.ones((2, 12)), 1, t), id="fold"),
+        pytest.param("dims", lambda t: DenseTensor3.from_flat(np.ones(6), t), id="from_flat"),
+        pytest.param("dims", lambda t: SynthSpec(t, 1), id="SynthSpec"),
+        pytest.param("dims", lambda t: gaussian_operator(t, (1, 1, 1), seed=0),
+                     id="gaussian_operator-dims"),
+        pytest.param("target dims", lambda t: gaussian_operator((4, 4, 4), t, seed=0),
+                     id="gaussian_operator-target"),
+        pytest.param("target dims", lambda t: tucker3(DenseTensor3(np.ones((4, 4, 4))), t),
+                     id="tucker3"),
+        pytest.param("dims", lambda t: read_tensor("never-read.csv", dims=t), id="read_tensor"),
+    ],
+)
+def test_a_dims_triple_has_three_entries(setting, build, triple):
+    # errors.check_dims is the one rule: a count other than three is a
+    # ShapeError naming the setting, never a truncated or padded triple.
+    message = f"^{setting} must be a triple, got {re.escape(str(triple))}$"
+    with pytest.raises(ShapeError, match=message):
+        build(triple)
 
 
 def test_frobenius_norm_examples():
