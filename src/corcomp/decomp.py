@@ -292,8 +292,10 @@ def cp_als_batch(
             factor[m] = rng.uniform(-1.0, 1.0, (d, R))
 
     # The largest mode's matrix, columns ordered as the Khatri-Rao product
-    # of the two other factors: a free view of a C-ordered tensor whose
-    # first mode is the largest, else a copy.
+    # of the two other factors.  DenseTensor3 data is C-ordered, so this is
+    # a free view when the first mode is the largest (every benchmark input
+    # and compressed sample); a tensor whose largest mode is second or
+    # third is copied once per call.
     n = dims.index(max(dims))
     mats = [np.moveaxis(X.data, n, 0).reshape(dims[n], -1) for X in tensors]
     live = np.arange(members)

@@ -59,8 +59,9 @@ FIT_TAG = 4
 
 # Bytes of compressed samples fitted per cp_als_batch call (at least one
 # sample), filled across the schemes of one ratio.  Batch members never
-# interact, so this changes no result; it keeps a ratio's memory from
-# growing with its sample count.
+# interact, so this changes no result.  A grid holds its input, the Tucker
+# core and at most one such chunk, which the fit reads without copying, so
+# a ratio's memory does not grow with its sample count.
 BATCH_BYTES = 1 << 20
 
 # HOOI's fit-change tolerance for the Tucker scheme's operator, whatever the
@@ -243,8 +244,10 @@ def _ratio_samples(
 
     The cells share one compressed shape, so samples run in chunks of about
     ``BATCH_BYTES`` that fill across cell boundaries, one
-    :func:`cp_als_batch` call per chunk.  ``tucker3`` ignores its seed, so a
-    Tucker cell compresses once, with the seed of the first sample it meets.
+    :func:`cp_als_batch` call per chunk, and a chunk's results are released
+    before the next chunk is computed.  ``tucker3`` ignores its seed, so a
+    Tucker cell compresses once, with the seed of the first sample it meets,
+    before any other sample of that chunk is compressed.
     A chunk that raises ``ValueError`` reruns its samples one at a time, and
     the first that fails alone raises :class:`StepError` with its
     coordinates and the ``corcomp sample`` rerun; if none does, the chunk's
@@ -255,14 +258,17 @@ def _ratio_samples(
     tucker: dict[Scheme, DenseTensor3] = {}
 
     def computed(chunk: list[tuple[Scheme, int]]) -> list[tuple]:
-        tensors = []
-        for scheme, s in chunk:
+        made = {}
+        # Tucker samples first (a stable sort), so the Tucker fit of X runs
+        # while no other compressed sample of the chunk is alive.
+        for scheme, s in sorted(chunk, key=lambda sample: sample[0] is not Scheme.TUCKER):
             Xc = tucker.get(scheme)
             if Xc is None:
                 Xc = compress(X, make_operator(X, scheme, target, seeds[scheme, s]))
                 if scheme is Scheme.TUCKER:
                     tucker[scheme] = Xc
-            tensors.append(Xc)
+            made[scheme, s] = Xc
+        tensors = [made[sample] for sample in chunk]
         fit_seeds = [mix_seed(seeds[sample], FIT_TAG) for sample in chunk]
         models = cp_als_batch(tensors, cfg.rank, cfg.fit, fit_seeds)
         return [(Xc, model, corcondia(Xc, model)) for Xc, model in zip(tensors, models)]
@@ -283,8 +289,8 @@ def _ratio_samples(
                         f"{seeds[scheme, s]}): {exc}" + _rerun_hint(cfg, scheme, ratio, s)
                     ) from exc
             raise
-        for (scheme, _), result in zip(chunk, results):
-            yield (scheme, *result)
+        yield from ((scheme, *result) for (scheme, _), result in zip(chunk, results))
+        del results  # before the next chunk is computed
 
 
 def run_sample(

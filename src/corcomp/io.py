@@ -199,6 +199,7 @@ def _read_text(text: str, path: Path) -> DenseTensor3:
         i, j, k = (int(h) for h in head)
     except ValueError as exc:
         raise FormatError(f"{path}: non-integer dims in header {lines[0]!r}") from exc
+    i, j, k = check_dims((i, j, k))
     body = lines[1:]
     if len(body) != i * j * k:
         raise FormatError(
@@ -231,7 +232,7 @@ def _read_csv(
                     i, j, k = (int(p) for p in stripped[5:].split())
                 except ValueError:  # not an integer, or not three of them
                     raise FormatError(f"{path}:{lineno}: malformed dims comment {ln!r}") from None
-                header_dims = (i, j, k)
+                header_dims = check_dims((i, j, k))
             continue
         parts = ln.split(",")
         if len(parts) != 4:
@@ -251,7 +252,10 @@ def _read_csv(
         raise FormatError(
             f"{path}: CSV input needs dims via a '# dims: I J K' line or the dims argument"
         )
-    arr = np.zeros(use_dims)
+    try:
+        arr = np.zeros(use_dims)
+    except MemoryError:
+        raise FormatError(f"{path}: dims {use_dims} are too large to allocate") from None
     first_line: dict[tuple[int, int, int], int] = {}
     for i, j, k, v, lineno in entries:
         if not (1 <= i <= use_dims[0] and 1 <= j <= use_dims[1] and 1 <= k <= use_dims[2]):

@@ -70,14 +70,15 @@ class DenseTensor3:
     Entries are addressed as ``X[i, j, k]`` with 0-based indices.
     Constructors reject non-finite values and non-3-mode data, so every
     instance satisfies the class invariants by construction.  The
-    underlying array is marked read-only; instances are safe to share
-    across threads.
+    underlying array is C-ordered in memory (``X[i, j, k]`` with k
+    fastest; files and :meth:`to_flat` stay mode-1 fastest) and marked
+    read-only; instances are safe to share across threads.
     """
 
     __slots__ = ("_data",)
 
     def __init__(self, data) -> None:
-        arr = np.array(data, dtype=np.float64)
+        arr = np.array(data, dtype=np.float64, order="C")
         if arr.ndim != 3:
             raise ShapeError(f"expected a 3-mode array, got {arr.ndim} mode(s)")
         if min(arr.shape) < 1:
@@ -101,7 +102,7 @@ class DenseTensor3:
 
     def to_flat(self) -> np.ndarray:
         """Flat copy of the values, mode-1 index fastest."""
-        return self._data.ravel(order="F").copy()
+        return self._data.flatten(order="F")
 
     @property
     def data(self) -> np.ndarray:

@@ -587,6 +587,22 @@ class TestErrorPaths:
         assert "error" in err
 
     @pytest.mark.parametrize(
+        "name, text, message",
+        [
+            ("neg.txt", "2 -1 2\n1.0\n", "dim must be an integer >= 1, got -1"),
+            ("neg.csv", "# dims: 2 -1 2\n", "dim must be an integer >= 1, got -1"),
+            ("huge.csv", "# dims: 100000 100000 100000\n1,1,1,5.0\n",
+             "dims (100000, 100000, 100000) are too large to allocate"),
+        ],
+    )
+    def test_bad_stated_dims_exit_1_naming_the_file(self, tmp_path, name, text, message, capsys):
+        bad = tmp_path / name
+        bad.write_text(text)
+        code, _, err = run(["corcondia", "--input", str(bad), "--ranks", "1"], capsys)
+        assert code == 1
+        assert f"{bad}: {message}" in err
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["synth", "--rank", "2", "--noise", "-1"],

@@ -1,6 +1,7 @@
 from dataclasses import replace
 import itertools
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,12 +19,14 @@ from corcomp import (
     gaussian_operator,
     orthonormal_operator,
     pseudoinverse,
+    read_tensor,
     reconstruct_cp,
     reconstruct_tucker,
     superdiagonal_identity,
     synth_tensor,
     tucker3,
     tucker_operator,
+    write_tensor,
 )
 import corcomp.decomp as decomp
 from corcomp.decomp import cp_als_batch
@@ -172,9 +175,24 @@ class TestCpAlsBatch:
         capped = [m for m in batch if m.iterations == self.CFG.max_iterations]
         assert len(capped) == 1 and not capped[0].converged
 
+    def test_fit_reads_a_file_tensor_without_copying_it(self, tmp_path):
+        # File values are mode-1 fastest, but the tensor read back is C-ordered,
+        # so its largest-mode matrix and its norm are views of the data.
+        path = tmp_path / "x.tns"
+        write_tensor(synth_tensor(SynthSpec((268, 44, 7), 3, 0.05, seed=51)), path)
+        X = read_tensor(path)
+        tracemalloc.start()
+        try:
+            cp_als(X, 3, FitConfig(max_iterations=20, restarts=2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < X.data.nbytes / 2
+
     def test_matches_sequential_loop(self):
-        # Bits depend on memory layouts, so cover each way a tensor is made:
-        # compressed (n-mode products), C-ordered and F-ordered (file) data.
+        # DenseTensor3 stores C-ordered data however it is made, so cover each
+        # way: compressed (n-mode products), from an array, from flat (file)
+        # values and from transposed views.
         X, _ = random_cp_tensor((12, 9, 5), 3, seed=45)
         rng = np.random.default_rng(46)
         noisy = X.data + 0.1 * rng.standard_normal(X.dims)

@@ -1,6 +1,8 @@
+import gc
 import json
 import re
 import sys
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -283,6 +285,54 @@ class TestRunExperiment:
             seed = sample_seed(cfg.master_seed, scheme, 0.5, s)
             op = make_operator(small_noisy_tensor, scheme, (15, 10, 8), seed)
             assert alone.data.tobytes() == compress(small_noisy_tensor, op).data.tobytes()
+
+    def test_a_grid_keeps_one_chunk_of_samples_alive(self, small_noisy_tensor, monkeypatch):
+        # gaussian 4, orthonormal 4, tucker 2 per ratio: chunks of 3, 3, 3, 1
+        # at ratio 0.5 and one of 10 at ratio 0.2.  The Tucker core stays
+        # alive for its ratio; each random sample dies with its chunk.
+        schemes = 2 * ([Scheme.GAUSSIAN] * 4 + [Scheme.ORTHONORMAL] * 4 + [Scheme.TUCKER] * 2)
+        real_batch = harness.cp_als_batch
+        earlier, sizes, alive = [], [], []
+
+        def spying_batch(tensors, *args):
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in earlier))
+            start = sum(sizes)
+            sizes.append(len(tensors))
+            earlier.extend(weakref.ref(X.data) for X, scheme
+                           in zip(tensors, schemes[start:]) if scheme is not Scheme.TUCKER)
+            return real_batch(tensors, *args)
+
+        monkeypatch.setattr(harness, "BATCH_BYTES", 3 * 15 * 10 * 8 * 8)  # 3 samples at 0.5
+        monkeypatch.setattr(harness, "cp_als_batch", spying_batch)
+        run_experiment(small_noisy_tensor, small_config(ratios=(0.5, 0.2)))
+        assert sizes == [3, 3, 3, 1, 10]
+        assert len(earlier) == 16 and alive == [0] * 5
+
+    def test_tucker_operator_runs_before_its_chunk_compresses(
+        self, small_noisy_tensor, monkeypatch
+    ):
+        events = []
+
+        def logging(name):
+            real = getattr(harness, name)
+
+            def logged(*args, **kwargs):
+                events.append(name)
+                return real(*args, **kwargs)
+            return logged
+
+        for name in ("tucker_operator", "compress", "cp_als_batch"):
+            monkeypatch.setattr(harness, name, logging(name))
+        monkeypatch.setattr(harness, "BATCH_BYTES", 3 * 15 * 10 * 8 * 8)  # 3 samples
+        cfg = small_config()
+        result = run_experiment(small_noisy_tensor, cfg)
+        chunks = [chunk.split() for chunk in " ".join(events).split("cp_als_batch")]
+        # The third chunk holds orthonormal samples 2 and 3, then Tucker sample 0.
+        assert chunks[2] == ["tucker_operator", "compress", "compress", "compress"]
+        assert sum(chunk.count("tucker_operator") for chunk in chunks) == 1
+        _, _, report = run_sample(small_noisy_tensor, cfg, Scheme.TUCKER, 0.5, 0)
+        assert report.value == result.cells[Scheme.TUCKER, 0.5].raw_samples[0]
 
     def test_failing_sample_names_its_coordinates(self, small_noisy_tensor, monkeypatch):
         # A ValueError while building the operator, or while computing the

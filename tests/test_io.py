@@ -107,6 +107,7 @@ class TestTextFormat:
             (b"# a comment only\n\n", "empty tensor file"),
             (b"2 x 2\n", "non-integer dims"),
             (b"2 0 2\n", r"x\.txt: dim must be an integer >= 1, got 0"),
+            (b"2 -1 2\n1.0\n", r"x\.txt: dim must be an integer >= 1, got -1"),
             (b"1 1 1\n\xff\n", r"x\.txt: 'utf-8' codec can't decode byte 0xff"),
         ):
             path.write_bytes(raw)
@@ -169,7 +170,10 @@ class TestCsvFormat:
             (b"# dims: 2 2 2\n1,1,x,5.0\n", r"x\.csv:2: unparsable triplet"),
             (b"# dims: 2 2 2\n1,1,1,inf\n", r"x\.csv:2: non-finite value 'inf'"),
             (b"# dims: 2 2\n", r"x\.csv:1: malformed dims comment"),
-            (b"# dims: 2 0 2\n", r"x\.csv: all dims must be positive, got \(2, 0, 2\)"),
+            (b"# dims: 2 0 2\n", r"x\.csv: dim must be an integer >= 1, got 0"),
+            (b"# dims: 2 -1 2\n", r"x\.csv: dim must be an integer >= 1, got -1"),
+            # 8e15 bytes: the allocation fails before any memory is touched.
+            (b"# dims: 100000 100000 100000\n", r"x\.csv: dims \(100000, 100000, 100000\) are too"),
             (b"# dims: 1 1 1\n1,1,1,\xff\n", r"x\.csv: 'utf-8' codec can't decode byte 0xff"),
         ):
             path.write_bytes(raw)

@@ -8,6 +8,7 @@ from corcomp import (
     RatioSpec,
     ShapeError,
     SynthSpec,
+    compress,
     fold,
     frobenius_norm,
     gaussian_operator,
@@ -17,8 +18,10 @@ from corcomp import (
     reconstruct_cp,
     reconstruct_tucker,
     superdiagonal_identity,
+    synth_tensor,
     tucker3,
     unfold,
+    write_tensor,
 )
 
 from oracles import tucker_triple_sum, unfold_oracle
@@ -45,6 +48,27 @@ class TestDenseTensor3:
     def test_flat_roundtrip(self, random345):
         again = DenseTensor3.from_flat(random345.to_flat(), random345.dims)
         assert np.array_equal(again.data, random345.data)
+
+    def test_every_way_of_making_a_tensor_stores_c_ordered_data(self, tmp_path):
+        # A CP fit reads a C-ordered tensor whose largest mode comes first in place.
+        arr = np.random.default_rng(7).standard_normal((5, 4, 3))
+        X = synth_tensor(SynthSpec((6, 5, 4), 2, 0.1, seed=0))
+        made = {
+            "F-ordered array": DenseTensor3(np.asfortranarray(arr)),
+            "permuted view": DenseTensor3(arr.transpose(2, 0, 1)),
+            "from_flat": DenseTensor3.from_flat(np.arange(60.0), (5, 4, 3)),
+            "synth_tensor": X,
+            "noiseless synth_tensor": synth_tensor(SynthSpec((6, 5, 4), 2, seed=0)),
+            "compress": compress(X, gaussian_operator(X.dims, (3, 2, 4), 1)),
+        }
+        for name in ("x.tns", "x.txt", "x.csv"):
+            write_tensor(X, tmp_path / name)
+            made[name] = read_tensor(tmp_path / name)
+            assert np.array_equal(made[name].data, X.data)
+        for how, T in made.items():
+            assert T.data.flags.c_contiguous, how
+        assert made["from_flat"][1, 0, 0] == 1.0 and made["from_flat"][0, 1, 0] == 5.0
+        assert np.array_equal(made["from_flat"].to_flat(), np.arange(60.0))
 
     def test_rejects_nan_and_inf(self):
         with pytest.raises(ValueError):

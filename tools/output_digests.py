@@ -11,7 +11,8 @@ of a benchmark run does.  It prints one JSON object mapping
 of two checkouts compare with ``diff``.  BLAS and OpenMP are pinned to one
 thread before numpy is imported, and ``corcomp`` is imported from the
 ``src/`` of the checkout holding this file.  Exits 1 when any call exits
-nonzero, 2 when that source is missing.
+nonzero, 2 when that source is missing.  ``peak_memory.py`` makes the same
+calls through :func:`run_tool`.
 """
 
 from __future__ import annotations
@@ -21,7 +22,9 @@ import json
 import os
 import sys
 import tempfile
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -38,15 +41,21 @@ def seed_range(text: str) -> range:
     return range(lo, hi + 1)
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+def run_tool(argv: list[str] | None, tool: str, doc: str,
+             measure: Callable[[Callable], tuple[object, object]]) -> int:
+    """The command line of a tool that maps every benchmark call of
+    ``--seeds`` to a value: ``measure(call)`` makes the call (``call()``
+    returns the ``bench.Call``) and returns the value and that ``Call``.
+    Prints the JSON object, then each failed call on stderr, and returns
+    the exit code."""
+    parser = argparse.ArgumentParser(description=doc.splitlines()[0])
     parser.add_argument("--seeds", type=seed_range, required=True, metavar="A-B",
                         help="inclusive range of benchmark seeds")
     args = parser.parse_args(argv)
 
     src = ROOT / "src"
     if not (src / "corcomp" / "__init__.py").is_file():
-        print(f"output_digests: no corcomp source under {src}", file=sys.stderr)
+        print(f"{tool}: no corcomp source under {src}", file=sys.stderr)
         return 2
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
     os.environ["OMP_NUM_THREADS"] = "1"
@@ -55,13 +64,12 @@ def main(argv: list[str] | None = None) -> int:
     import corcomp
 
     if Path(corcomp.__file__).resolve().parent != (src / "corcomp").resolve():
-        print(f"output_digests: imported corcomp from {corcomp.__file__}, not {src}",
-              file=sys.stderr)
+        print(f"{tool}: imported corcomp from {corcomp.__file__}, not {src}", file=sys.stderr)
         return 2
 
     import bench
 
-    digests: dict[str, str] = {}
+    values: dict[str, object] = {}
     failures: list[str] = []
     with tempfile.TemporaryDirectory() as tmp:
         for seed in args.seeds:
@@ -70,15 +78,24 @@ def main(argv: list[str] | None = None) -> int:
                 outdir = workdir / "out"
                 outdir.mkdir(parents=True)
                 for input_seed, path in bench.write_inputs(workload, seed, workdir):
-                    call = bench.run_call(workload.job, path, input_seed, outdir)
                     key = f"{name}/{input_seed}"
-                    digests[key] = call.digest
+                    values[key], call = measure(
+                        partial(bench.run_call, workload.job, path, input_seed, outdir))
                     if call.rc != 0:
                         failures.append(f"{key}: exit code {call.rc}: {call.stderr.strip()}")
-    print(json.dumps(digests, indent=2))
+    print(json.dumps(values, indent=2))
     for failure in failures:
-        print(f"output_digests: {failure}", file=sys.stderr)
+        print(f"{tool}: {failure}", file=sys.stderr)
     return 1 if failures else 0
+
+
+def digest(call: Callable) -> tuple[str, object]:
+    done = call()
+    return done.digest, done
+
+
+def main(argv: list[str] | None = None) -> int:
+    return run_tool(argv, "output_digests", __doc__, digest)
 
 
 if __name__ == "__main__":
