@@ -22,11 +22,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .compress import DEFAULT_MODES, Scheme
+from .compress import DEFAULT_MODES, TUCKER_FIT, Scheme
 from .corcondia import corcondia_sweep
 from .decomp import FitConfig
 from .errors import ConfigError, StepError
-from .harness import DEFAULT_SAMPLES, TUCKER_TOLERANCE, ExperimentConfig, run_experiment, run_sample
+from .harness import DEFAULT_SAMPLES, ExperimentConfig, run_experiment, run_sample
 from .io import (
     SynthSpec,
     _atomic_write,
@@ -45,12 +45,12 @@ def _add_fit_flags(p: argparse.ArgumentParser) -> None:
                    dest="max_iter", help="iteration cap per CP fit (default %(default)s)")
     p.add_argument("--tol", type=float, default=FitConfig.rel_tolerance,
                    help="relative fit-change stopping tolerance of the CP fits; the "
-                        f"Tucker scheme's HOOI stops at {TUCKER_TOLERANCE:.0e} "
+                        f"Tucker scheme's HOOI stops at {TUCKER_FIT.rel_tolerance:.0e} "
                         "(default %(default)s)")
 
 
-def _add_input_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--input", required=True, help="tensor file to read")
+def _add_input_flags(p: argparse.ArgumentParser, required: bool = True) -> None:
+    p.add_argument("--input", required=required, help="tensor file to read")
     p.add_argument("--dims", type=int, nargs=3, metavar=("I", "J", "K"), default=None,
                    help="dims the input must have (needed by CSV files without a dims line)")
 
@@ -97,8 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="Monte Carlo grid over schemes and ratios")
     p.add_argument("--config", default=None,
                    help="key=value file supplying defaults for any flag below")
-    p.add_argument("--input", default=None)
-    p.add_argument("--dims", type=int, nargs=3, metavar=("I", "J", "K"), default=None)
+    _add_input_flags(p, required=False)  # a --config file may supply --input
     p.add_argument("--schemes", nargs="+", choices=[s.value for s in Scheme],
                    default=[s.value for s in grid.samples_per_cell],
                    help="compression schemes (default %(default)s)")

@@ -20,6 +20,7 @@ system.  A core or value that overflows is a ``ValueError``, not a value.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -82,20 +83,20 @@ def corcondia(X: DenseTensor3, model: CpModel) -> CorcondiaReport:
 
 
 def corcondia_sweep(
-    X: DenseTensor3, ranks: list[int], cfg: FitConfig = FitConfig()
+    X: DenseTensor3, ranks: Sequence[int], cfg: FitConfig = FitConfig()
 ) -> list[CorcondiaReport]:
     """Fit one CP model per entry of ``ranks`` and report each diagnostic.
 
-    Fits are independent, with per-rank seeds derived from ``cfg.seed``,
-    so entries could be computed concurrently; output order matches the
-    input order.  Every rank is checked against the dims and for a repeat
-    before any fit runs.  A ``ValueError`` at any rank aborts the sweep as
-    a StepError naming the rank; any other exception is a bug and passes through.
+    Fits are independent, with per-rank seeds derived from ``cfg.seed``;
+    output order matches the input order.  Every rank of the sequence is
+    checked against the dims, then for a repeat, before any fit runs.  A
+    ``ValueError`` at any rank aborts the sweep as a StepError naming the
+    rank; any other exception is a bug and passes through.
     """
+    ranks = [check_cp_rank(rank, X.dims) for rank in ranks]
     if not ranks:
         raise ConfigError("ranks must be nonempty")
     for i, rank in enumerate(ranks):
-        check_cp_rank(rank, X.dims)
         if rank in ranks[:i]:
             raise ConfigError(f"rank {rank} is listed twice")
     reports = []

@@ -27,6 +27,7 @@ import numpy as np
 from .corcondia import CorcondiaReport, corcondia
 from .compress import (
     DEFAULT_MODES,
+    TUCKER_FIT,
     CompressionOperator,
     RatioSpec,
     Scheme,
@@ -63,12 +64,6 @@ FIT_TAG = 4
 # core and at most one such chunk, which the fit reads without copying, so
 # a ratio's memory does not grow with its sample count.
 BATCH_BYTES = 1 << 20
-
-# HOOI's fit-change tolerance for the Tucker scheme's operator, whatever the
-# CP fits' settings (FitConfig's default caps its sweeps).  Tighter ones only
-# refine noise directions: on the benchmark's grid inputs 1e-7 took 2-89
-# sweeps where 1e-4 takes 2, moving no criterion-5 Tucker sample by 1e-3.
-TUCKER_TOLERANCE = 1e-4
 
 DEFAULT_RATIOS = (0.5, 0.4, 0.3, 0.2, 0.1, 0.08, 0.04)
 DEFAULT_SAMPLES = {Scheme.GAUSSIAN: 1000, Scheme.ORTHONORMAL: 1000, Scheme.TUCKER: 10}
@@ -172,6 +167,9 @@ def summarize(samples: Sequence[float]) -> SummaryStats:
     arr = np.asarray(samples, dtype=np.float64)
     if arr.size == 0:
         raise ValueError("cannot summarize an empty sample list")
+    bad = arr.size - np.count_nonzero(np.isfinite(arr))
+    if bad:
+        raise ValueError(f"samples must be finite, got {bad} non-finite of {arr.size}")
     q1, median, q3 = (float(q) for q in np.percentile(arr, [25.0, 50.0, 75.0]))
     iqr = q3 - q1
     inside = arr[(arr >= q1 - 1.5 * iqr) & (arr <= q3 + 1.5 * iqr)]
@@ -205,13 +203,13 @@ def make_operator(
     X: DenseTensor3, scheme: Scheme, target: tuple[int, int, int], seed: int
 ) -> CompressionOperator:
     """The ``scheme`` operator compressing X to ``target``: a random draw
-    from ``seed``, or a Tucker fit of X (labelled with ``seed``) whose HOOI
-    stops at ``TUCKER_TOLERANCE`` or ``FitConfig``'s default sweep cap."""
+    from ``seed``, or a Tucker fit of X under ``TUCKER_FIT``."""
     if scheme is Scheme.GAUSSIAN:
         return gaussian_operator(X.dims, target, seed)
     if scheme is Scheme.ORTHONORMAL:
         return orthonormal_operator(X.dims, target, seed)
-    return tucker_operator(X, target, FitConfig(rel_tolerance=TUCKER_TOLERANCE, seed=seed))
+    # tucker3 ignores the seed: it only labels the fit, as the sample id a tracer reads.
+    return tucker_operator(X, target, replace(TUCKER_FIT, seed=seed))
 
 
 def _target(X: DenseTensor3, cfg: ExperimentConfig, ratio: float) -> tuple[int, int, int]:

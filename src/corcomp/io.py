@@ -1,15 +1,15 @@
 """Tensor file formats, synthetic tensor generation, and result
 serialization.
 
-Three on-disk tensor formats are supported, auto-detected on read by
-magic bytes and extension:
+Three on-disk tensor formats: a read detects binary by its magic bytes,
+else the format by extension; an unknown extension reads as text, writes binary.
 
 * binary (``.tns``/``.bin``): magic ``TNS3``, a version byte (1), three
   little-endian u32 dims, then ``8*I*J*K`` bytes of little-endian f64
   values with the mode-1 index fastest.  Write/read round-trips are
   bitwise exact.
-* text (``.txt``, default for unknown extensions): a header line
-  ``I J K``, then one value per line in the same flat order.
+* text (``.txt``): a header line ``I J K``, then one value per line in
+  the same flat order.
 * CSV triplets (``.csv``): lines ``i,j,k,value`` with 1-based indices,
   unlisted entries zero.  Dims come from a ``# dims: I J K`` comment
   line, else from the ``dims`` argument, which must match any file's dims;

@@ -46,12 +46,6 @@ __all__ = [
 _MODES = (1, 2, 3)
 
 
-def _check_mode(mode: int) -> int:
-    if mode not in _MODES:
-        raise ValueError(f"mode must be 1, 2 or 3, got {mode!r}")
-    return mode
-
-
 def as_matrix(M, name: str = "matrix") -> np.ndarray:
     """Validate and convert a 2-D array-like to a float64 ndarray."""
     arr = np.asarray(M, dtype=np.float64)
@@ -72,7 +66,7 @@ class DenseTensor3:
     instance satisfies the class invariants by construction.  The
     underlying array is C-ordered in memory (``X[i, j, k]`` with k
     fastest; files and :meth:`to_flat` stay mode-1 fastest) and marked
-    read-only; instances are safe to share across threads.
+    read-only.
     """
 
     __slots__ = ("_data",)
@@ -132,8 +126,7 @@ def unfold(X: DenseTensor3, mode: int) -> np.ndarray:
     the remaining indices in increasing mode order with the earlier mode
     varying fastest (see the layout contract in the module docstring).
     """
-    _check_mode(mode)
-    return _unfold(X.data, mode)
+    return _unfold(X.data, check_int(mode, "mode", 1, 3))
 
 
 def _unfold(data: np.ndarray, mode: int) -> np.ndarray:
@@ -144,7 +137,7 @@ def _unfold(data: np.ndarray, mode: int) -> np.ndarray:
 
 def fold(M, mode: int, dims: tuple[int, int, int]) -> DenseTensor3:
     """Inverse of :func:`unfold`: rebuild the tensor with the given dims."""
-    _check_mode(mode)
+    mode = check_int(mode, "mode", 1, 3)
     arr = as_matrix(M, "unfolding")
     dims = check_dims(dims)
     rest = [dims[m - 1] for m in _MODES if m != mode]
@@ -163,7 +156,7 @@ def n_mode_product(X: DenseTensor3, Z, mode: int) -> DenseTensor3:
 
     The result replaces the size of mode ``n`` by ``Z.shape[0]``.
     """
-    _check_mode(mode)
+    mode = check_int(mode, "mode", 1, 3)
     Zm = as_matrix(Z, "Z")
     if Zm.shape[1] != X.dims[mode - 1]:
         raise ShapeError(

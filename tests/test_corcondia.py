@@ -190,9 +190,18 @@ class TestSweep:
         monkeypatch.setattr(corcondia_mod, "cp_als", no_fit)
         X, _ = random_cp((4, 4, 4), 2, seed=17)
         for ranks, why in (([0], "infeasible"), ([2, 17], "infeasible"),
-                           ([2, 3, 2], "listed twice")):
+                           ([2, 3, 2], "listed twice"), (np.array([2, 3, 2]), "listed twice")):
             with pytest.raises(ConfigError, match=f"rank {ranks[-1]} is {why}"):
                 corcondia_sweep(X, ranks)
+
+    def test_ranks_may_be_any_sequence(self):
+        X, _ = random_cp((4, 5, 6), 2, seed=18)
+        listed = corcondia_sweep(X, [1, 2], TIGHT)
+        for ranks in ((1, 2), np.array([1, 2]), [np.int64(1), np.int64(2)]):
+            reports = corcondia_sweep(X, ranks, TIGHT)
+            assert [(r.rank, r.value) for r in reports] == [(r.rank, r.value) for r in listed]
+        with pytest.raises(ConfigError, match="ranks must be nonempty"):
+            corcondia_sweep(X, np.array([], dtype=int), TIGHT)
 
     def test_empty_ranks(self):
         X, _ = random_cp((3, 3, 3), 1, seed=16)

@@ -31,6 +31,7 @@ from corcomp import (
     summarize,
     synth_tensor,
     tucker3,
+    tucker_operator,
 )
 import corcomp.cli as cli
 import corcomp.harness as harness
@@ -83,6 +84,15 @@ class TestSummarize:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             summarize([])
+
+    @pytest.mark.parametrize("samples, bad", [
+        ([1.0, np.nan], 1), ([1.0, np.inf], 1), ([-np.inf, 2.0, np.nan], 2),
+        (clamp_negatives([np.nan]), 1),  # clamping passes NaN through
+    ])
+    def test_non_finite_rejected_by_name(self, samples, bad):
+        with pytest.raises(ValueError, match=f"samples must be finite, got {bad} non-finite of "
+                                             f"{len(samples)}"):
+            summarize(samples)
 
     def test_ordering_chain_and_outlier_placement(self):
         rng = np.random.default_rng(0)
@@ -211,10 +221,25 @@ class TestRunExperiment:
         assert calls == [(15, 10, 8), (6, 4, 8)]
         assert all(cell.stats.n == 3 for cell in result.cells.values())
 
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_public_constructor_defaults_build_the_grids_operator(
+        self, small_noisy_tensor, scheme
+    ):
+        # On this tensor tucker3 at FitConfig's default tolerance runs 18 HOOI
+        # sweeps at ratio 0.5 where TUCKER_FIT runs 3, and the cores differ.
+        X, cfg, s = small_noisy_tensor, small_config(), 1
+        if scheme is Scheme.TUCKER:
+            op = tucker_operator(X, (15, 10, 8))
+        else:
+            construct = {Scheme.GAUSSIAN: gaussian_operator,
+                         Scheme.ORTHONORMAL: orthonormal_operator}[scheme]
+            op = construct(X.dims, (15, 10, 8), sample_seed(cfg.master_seed, scheme, 0.5, s))
+        grid = run_sample(X, cfg, scheme, 0.5, s)[0]
+        assert compress(X, op).data.tobytes() == grid.data.tobytes()
+
     def test_tucker_operator_ignores_the_cp_tolerance(self, small_noisy_tensor):
-        # The grid's HOOI stops at TUCKER_TOLERANCE under FitConfig's sweep
-        # cap whatever the CP fits' settings, while tucker3 itself keeps
-        # honouring its config.
+        # The grid's HOOI runs under TUCKER_FIT whatever the CP fits'
+        # settings, while tucker3 itself keeps honouring its config.
         fits = (FitConfig(max_iterations=1, rel_tolerance=1e-3, restarts=1), FAST_FIT)
         cores, grid = [], []
         for fit in fits:

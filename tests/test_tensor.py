@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from corcomp import (
+    ConfigError,
     DenseTensor3,
     RatioSpec,
     ShapeError,
@@ -149,6 +150,26 @@ class TestUnfoldFold:
     def test_bad_mode(self, random345):
         with pytest.raises(ValueError):
             unfold(random345, 0)
+
+
+MODE_CALLS = {
+    "unfold": lambda X, mode: unfold(X, mode),
+    "fold": lambda X, mode: fold(unfold(X, 2), mode, X.dims),
+    "n_mode_product": lambda X, mode: n_mode_product(X, np.eye(4), mode),
+}
+
+
+class TestModeRule:
+    @pytest.mark.parametrize("mode", [True, 2.0, 0, 4])
+    @pytest.mark.parametrize("call", MODE_CALLS)
+    def test_mode_must_be_an_integer_from_1_to_3(self, random345, call, mode):
+        with pytest.raises(ConfigError, match=r"^mode must be an integer in \[1, 3\], got "):
+            MODE_CALLS[call](random345, mode)
+
+    @pytest.mark.parametrize("call", MODE_CALLS)
+    def test_numpy_integer_mode_is_that_mode(self, random345, call):
+        got, expected = (MODE_CALLS[call](random345, m) for m in (np.int64(2), 2))
+        assert np.array_equal(np.asarray(got), np.asarray(expected))
 
 
 class TestNModeProduct:
