@@ -28,6 +28,7 @@ from .decomp import FitConfig
 from .errors import ConfigError, StepError
 from .harness import DEFAULT_SAMPLES, ExperimentConfig, run_experiment, run_sample
 from .io import (
+    FACTOR_DISTRIBUTIONS,
     SynthSpec,
     _atomic_write,
     experiment_to_json,
@@ -79,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--noise", type=float, default=SynthSpec.noise_level,
                    help="relative Frobenius noise level (default %(default)s)")
-    p.add_argument("--dist", choices=["uniform", "gaussian"],
+    p.add_argument("--dist", choices=list(FACTOR_DISTRIBUTIONS),
                    default=SynthSpec.factor_distribution,
                    help="factor entry distribution (default %(default)s)")
     p.add_argument("--seed", type=int, default=SynthSpec.seed)
@@ -141,6 +142,22 @@ def _grid_config(args: argparse.Namespace, **cells) -> ExperimentConfig:
     """The grid of ``cells`` (ratios, samples_per_cell) under the shared grid flags."""
     return ExperimentConfig(rank=args.rank, compressed_modes=frozenset(args.modes),
                             master_seed=args.seed, fit=_fit_config(args), **cells)
+
+
+def _check_paths(inputs: list, outputs: list) -> None:
+    """Stop before any work if an output's directory is missing, or if an
+    output is the same file as an input or as another output.  Each entry is
+    a (flag, path) pair; a pair without a path is skipped."""
+    seen = {Path(path).resolve(): f"{flag} {path}" for flag, path in inputs if path}
+    for flag, path in outputs:
+        if not path:
+            continue
+        resolved = Path(path).resolve()
+        if not resolved.parent.is_dir():
+            raise ConfigError(f"{flag} {path}: directory {resolved.parent} does not exist")
+        if resolved in seen:
+            raise ConfigError(f"{flag} {path} is the same file as {seen[resolved]}")
+        seen[resolved] = f"{flag} {path}"
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
@@ -206,6 +223,8 @@ def _config_argv(p: argparse.ArgumentParser, path: str) -> list[str]:
 def _cmd_experiment(args: argparse.Namespace) -> int:
     if not args.input:
         raise ConfigError("experiment needs an input tensor (--input or input= in config)")
+    _check_paths([("--input", args.input), ("--config", args.config)],
+                 [("--out-json", args.out_json), ("--out-csv", args.out_csv)])
     X = read_tensor(args.input, dims=args.dims)
     for name in args.schemes:
         if args.schemes.count(name) > 1:
@@ -234,15 +253,20 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 def _cmd_sample(args: argparse.Namespace) -> int:
     scheme = Scheme(args.scheme)
     cfg = _grid_config(args, ratios=(args.ratio,), samples_per_cell={scheme: 1})
-    X = read_tensor(args.input, dims=args.dims)
-    compressed, model, report = run_sample(X, cfg, scheme, args.ratio, args.index)
+    outputs = []  # the compressed tensor, then the factors A, B and C
     if args.out_prefix:
         prefix = Path(args.out_prefix)
-        write_tensor(compressed, prefix.parent / f"{prefix.name}_compressed.tns")
-        for name, M in zip("ABC", (model.A, model.B, model.C)):
+        names = ("compressed.tns", "A.csv", "B.csv", "C.csv")
+        outputs = [prefix.parent / f"{prefix.name}_{name}" for name in names]
+    _check_paths([("--input", args.input)], [("--out-prefix", path) for path in outputs])
+    X = read_tensor(args.input, dims=args.dims)
+    compressed, model, report = run_sample(X, cfg, scheme, args.ratio, args.index)
+    if outputs:
+        write_tensor(compressed, outputs[0])
+        for path, M in zip(outputs[1:], (model.A, model.B, model.C)):
             buf = io.BytesIO()
             np.savetxt(buf, M, delimiter=",")
-            _atomic_write(prefix.parent / f"{prefix.name}_{name}.csv", buf.getvalue())
+            _atomic_write(path, buf.getvalue())
     print(f"value={report.value!r} fit={model.fit!r} iterations={model.iterations} "
           f"converged={model.converged} factor_rank_deficient={report.factor_rank_deficient}")
     return 0

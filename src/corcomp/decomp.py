@@ -142,8 +142,7 @@ def _absorb_norms(C: np.ndarray, *normalized: np.ndarray) -> None:
     """Normalize the columns of each of ``normalized`` in place, absorbing
     their norms into C's columns."""
     for F in normalized:
-        # The same reduction np.linalg.norm(F, axis=-2) makes, without its overhead.
-        norms = np.sqrt(np.add.reduce(F * F, axis=-2))[..., None, :]
+        norms = np.linalg.norm(F, axis=-2, keepdims=True)
         ok = norms > np.finfo(np.float64).tiny
         np.divide(F, norms, out=F, where=ok)
         np.multiply(C, norms, out=C, where=ok)

@@ -47,6 +47,8 @@ __all__ = [
 MAGIC = b"TNS3"
 BINARY_VERSION = 1
 _HEADER = struct.Struct("<4sBIII")
+# Each factor distribution's name and the numpy Generator method that draws it.
+FACTOR_DISTRIBUTIONS = {"uniform": "random", "gaussian": "standard_normal"}
 
 
 @dataclass(frozen=True)
@@ -72,11 +74,10 @@ class SynthSpec:
         if noise < 0:
             raise ConfigError(f"noise_level must be >= 0, got {noise}")
         object.__setattr__(self, "noise_level", noise)
-        if self.factor_distribution not in ("uniform", "gaussian"):
-            raise ConfigError(
-                f"factor_distribution must be 'uniform' or 'gaussian', "
-                f"got {self.factor_distribution!r}"
-            )
+        dist = self.factor_distribution
+        if not isinstance(dist, str) or dist not in FACTOR_DISTRIBUTIONS:
+            names = " or ".join(map(repr, FACTOR_DISTRIBUTIONS))
+            raise ConfigError(f"factor_distribution must be {names}, got {dist!r}")
         object.__setattr__(self, "seed", check_seed(self.seed))
 
 
@@ -84,10 +85,7 @@ def synth_tensor(spec: SynthSpec) -> DenseTensor3:
     """Generate the tensor described by ``spec``, deterministically in
     ``spec.seed`` (factors A, B, C are drawn first, then the noise)."""
     rng = np.random.default_rng(spec.seed)
-    if spec.factor_distribution == "uniform":
-        draw = rng.random
-    else:
-        draw = rng.standard_normal
+    draw = getattr(rng, FACTOR_DISTRIBUTIONS[spec.factor_distribution])
     A, B, C = (draw((d, spec.rank)) for d in spec.dims)
     clean = reconstruct_cp(A, B, C)
     if spec.noise_level == 0.0:
@@ -107,15 +105,20 @@ def synth_tensor(spec: SynthSpec) -> DenseTensor3:
 def _atomic_write(path: Path, payload: bytes) -> None:
     # Mode 0o666 leaves the permissions to the umask, as open() does (not mkstemp).
     tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(payload)
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    except OSError as exc:
+        if exc.filename is None:
+            raise
+        # Name the file asked for, not the temporary one.
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
 
 
 def write_tensor(X: DenseTensor3, path: str | Path) -> None:
@@ -129,9 +132,10 @@ def write_tensor(X: DenseTensor3, path: str | Path) -> None:
         payload = ("\n".join(lines) + "\n").encode()
     elif suffix == ".csv":
         lines = ["# dims: %d %d %d" % X.dims]
-        # The transpose's nonzeros come out with the mode-1 index fastest.
-        nonzero = np.nonzero(X.data.T)
-        for k, j, i, v in zip(*nonzero, X.data.T[nonzero].tolist()):
+        flat = X.to_flat()
+        nonzero = np.flatnonzero(flat)
+        index = np.unravel_index(nonzero, X.dims, order="F")
+        for i, j, k, v in zip(*index, flat[nonzero].tolist()):
             lines.append(f"{i + 1},{j + 1},{k + 1},{v!r}")
         payload = ("\n".join(lines) + "\n").encode()
     else:
@@ -199,14 +203,8 @@ def _read_text(text: str, path: Path) -> DenseTensor3:
         i, j, k = (int(h) for h in head)
     except ValueError as exc:
         raise FormatError(f"{path}: non-integer dims in header {lines[0]!r}") from exc
-    i, j, k = check_dims((i, j, k))
-    body = lines[1:]
-    if len(body) != i * j * k:
-        raise FormatError(
-            f"{path}: expected {i * j * k} values for dims {(i, j, k)}, found {len(body)}"
-        )
     try:
-        values = np.array([float(v) for v in body])
+        values = np.array([float(v) for v in lines[1:]])
     except ValueError as exc:
         raise FormatError(f"{path}: unparsable value: {exc}") from exc
     return DenseTensor3.from_flat(values, (i, j, k))

@@ -1,5 +1,8 @@
+import argparse
 import json
 import os
+import re
+import shlex
 import stat
 import sys
 from pathlib import Path
@@ -10,8 +13,10 @@ import pytest
 from corcomp import (
     DenseTensor3,
     FitConfig,
+    ConfigError,
     RatioSpec,
     Scheme,
+    SynthSpec,
     compress,
     corcondia_sweep,
     make_operator,
@@ -21,7 +26,7 @@ from corcomp import (
     tucker3,
     write_tensor,
 )
-from corcomp.cli import cli_main
+from corcomp.cli import build_parser, cli_main
 from corcomp.harness import sample_seed
 
 
@@ -573,6 +578,114 @@ class TestOutputFiles:
             modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in out.iterdir()}
             assert len(modes) == 10
             assert modes == dict.fromkeys(modes, 0o666 & ~umask)
+
+
+class TestOutputPaths:
+    """Every output path is checked before the input is read or anything is fitted."""
+
+    GRID = ["--rank", "2", "--schemes", "gaussian", "--ratios", "0.5",
+            "--samples-gaussian", "1", "--restarts", "1", "--max-iter", "20"]
+
+    @pytest.fixture
+    def no_fits(self, monkeypatch):
+        import corcomp.cli as cli
+
+        def never(*args, **kwargs):
+            raise AssertionError("a fit ran before the output paths were checked")
+
+        monkeypatch.setattr(cli, "run_experiment", never)
+        monkeypatch.setattr(cli, "run_sample", never)
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        """Existing files whose bytes no rejected command may change."""
+        X = DenseTensor3(np.arange(64.0).reshape(4, 4, 4) + 1.0)
+        for name in ("x.tns", "s_compressed.tns"):
+            write_tensor(X, tmp_path / name)
+        (tmp_path / "r.out").write_text("old\n")
+        return {p: p.read_bytes() for p in tmp_path.iterdir()}
+
+    @pytest.mark.parametrize(
+        "argv, flags",
+        [
+            (["experiment", "--input", "x.tns", "--out-json", "r.out", "--out-csv", "r.out"],
+             ("--out-csv", "--out-json")),
+            (["experiment", "--input", "x.tns", "--out-json", "x.tns"],
+             ("--out-json", "--input")),
+            (["sample", "--input", "s_compressed.tns", "--out-prefix", "s",
+              "--scheme", "gaussian", "--ratio", "0.5", "--index", "0"],
+             ("--out-prefix", "--input")),
+        ],
+    )
+    def test_an_output_on_an_input_or_another_output_exits_2(
+        self, files, tmp_path, monkeypatch, argv, flags, no_fits, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        grid = self.GRID[:2] if argv[0] == "sample" else self.GRID
+        code, out, err = run(argv + grid, capsys)
+        assert code == 2
+        assert out == ""
+        assert "configuration error" in err and "is the same file as" in err
+        assert all(flag in err for flag in flags)
+        assert {p: p.read_bytes() for p in tmp_path.iterdir()} == files
+
+    def test_an_output_on_the_config_file_exits_2(self, files, tmp_path, no_fits, capsys):
+        config = tmp_path / "grid.cfg"
+        config.write_text(f"input = {tmp_path / 'x.tns'}\n")
+        code, _, err = run(["experiment", "--config", str(config), "--out-csv", str(config),
+                            *self.GRID], capsys)
+        assert code == 2
+        assert "--out-csv" in err and "--config" in err
+        assert config.read_text() == f"input = {tmp_path / 'x.tns'}\n"
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["experiment", "--out-json", "missing/r.json"], "--out-json"),
+            (["experiment", "--out-csv", "missing/r.csv"], "--out-csv"),
+            (["sample", "--scheme", "gaussian", "--ratio", "0.5", "--index", "0",
+              "--out-prefix", "missing/s"], "--out-prefix"),
+        ],
+    )
+    def test_a_missing_output_directory_exits_2_before_any_fit(
+        self, files, tmp_path, monkeypatch, argv, flag, no_fits, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(argv + ["--input", "x.tns", *self.GRID[:2]], capsys)
+        assert code == 2
+        assert out == ""
+        assert f"{flag} missing/" in err and "does not exist" in err
+        assert not (tmp_path / "missing").exists()
+
+    def test_a_failed_synth_write_names_the_requested_file(self, tmp_path, capsys):
+        out = tmp_path / "nodir" / "x.tns"
+        code, _, err = run(["synth", "--dims", "4", "4", "4", "--rank", "2", "--out", str(out)],
+                           capsys)
+        assert code == 1
+        assert f"'{out}'" in err
+        assert re.search(r"x\.tns\.[0-9a-f]{12}", err) is None
+
+
+def test_readme_commands_parse():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"```sh\n(.*?)```", readme, flags=re.DOTALL)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line) for line in lines if line.startswith("corcomp ")]
+    assert len(commands) >= 4
+    parser = build_parser()
+    for argv in commands:
+        assert parser.parse_args(argv[1:]).command == argv[1]
+
+
+def test_dist_choices_are_the_synth_spec_distributions():
+    [commands] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    [dist] = [a for a in commands.choices["synth"]._actions if a.dest == "dist"]
+    assert sorted(dist.choices) == ["gaussian", "uniform"]
+    for name in dist.choices:
+        assert SynthSpec((4, 4, 4), 2, factor_distribution=name).factor_distribution == name
+    for name in ("normal", "Uniform", "", ["uniform"]):
+        with pytest.raises(ConfigError, match="factor_distribution must be 'uniform' or"):
+            SynthSpec((4, 4, 4), 2, factor_distribution=name)
 
 
 SAMPLE = ["sample", "--scheme", "orthonormal", "--ratio", "0.5", "--index", "0"]

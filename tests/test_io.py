@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -81,6 +82,15 @@ class TestBinaryFormat:
             read_tensor(path)
 
 
+def test_a_failed_write_names_the_requested_file(tmp_path, random_tensor):
+    with pytest.raises(OSError) as info:
+        write_tensor(random_tensor, tmp_path / "nodir" / "x.tns")
+    message = str(info.value)
+    assert "nodir/x.tns'" in message
+    assert not re.search(r"x\.tns\.[0-9a-f]{12}", message)
+    assert not (tmp_path / "nodir").exists()
+
+
 class TestTextFormat:
     def test_roundtrip_exact(self, tmp_path, random_tensor):
         path = tmp_path / "x.txt"
@@ -91,7 +101,7 @@ class TestTextFormat:
     def test_value_count_mismatch(self, tmp_path):
         path = tmp_path / "x.txt"
         for text, message in (
-            ("2 2 2\n1.0\n2.0\n", "expected 8 values"),
+            ("2 2 2\n1.0\n2.0\n", r"flat value count 2 does not match dims \(2, 2, 2\)"),
             ("1 1 2\n1.0\nabc\n", "unparsable value"),
             ("1 1 2\n1.0\nnan\n", "non-finite values"),
         ):
